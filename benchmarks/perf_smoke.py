@@ -8,21 +8,15 @@ multi-tenant serving scenario (job server, fifo vs fair), and emits
 the ``SchedulerStats`` counters that evidence the O(1)/O(Δ) readiness
 machinery (resolve-cache hit rate, rebuild fraction, invalidation counts).
 
-The report records which executor plane produced the numbers (``executor``,
-``worker_count``, ``host_cpus``) so the perf gate always compares
-like-with-like; ``--compare-executors`` additionally re-runs the smoke under
-every other ``FLINT_EXECUTOR`` backend and embeds per-backend wall seconds.
-
 Usage:
     PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_engine.json]
-        [--executor inline|process|async] [--executor-workers N]
-        [--columnar on|off] [--compare-fusion] [--compare-executors]
-        [--compare-columnar]
+        [--columnar on|off] [--compare-fusion] [--compare-columnar]
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -38,28 +32,11 @@ for path in (_ROOT, os.path.join(_ROOT, "src")):
 from benchmarks.conftest import BATCH_WORKLOADS, CLUSTER_SIZE  # noqa: E402
 from repro.analysis.experiments import build_engine_context  # noqa: E402
 from repro.core.ftmanager import FaultToleranceManager  # noqa: E402
-from repro.engine.executor import EXECUTOR_BACKENDS, resolve_backend  # noqa: E402
 from repro.simulation.clock import HOUR  # noqa: E402
 
 MARKET = "od/r3.large"
 FIG8_FAILURES = [0, 1, 5]
 CLUSTER_MTTF = 1 * HOUR
-
-_COUNTER_FIELDS = (
-    "scheduling_rounds",
-    "resolve_cache_hits",
-    "resolve_cache_misses",
-    "readiness_invalidations",
-    "readiness_rebuilds",
-    "fused_chains",
-    "fused_stages",
-    "kernels_offloaded",
-    "kernels_consumed",
-    "kernels_fallback",
-    "columnar_chains",
-    "columnar_stages",
-    "columnar_fallbacks",
-)
 
 
 def _run_scenario(factory, checkpointing, failures, failure_at):
@@ -87,71 +64,56 @@ def _run_scenario(factory, checkpointing, failures, failure_at):
     return runtime, ctx
 
 
+def _add_counters(agg, counters):
+    """Fold one counter snapshot into ``agg``, with no field list.
+
+    Numeric fields are summed, except ``*_peak`` high-water marks, which
+    take the maximum; non-numeric fields (and bools) are skipped.
+    """
+    for field, value in counters.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if field.endswith("_peak"):
+            agg[field] = max(agg.get(field, value), value)
+        else:
+            agg[field] = agg.get(field, 0) + value
+
+
 def _accumulate(agg, ctx):
-    stats = ctx.scheduler.stats
-    for field in _COUNTER_FIELDS:
-        agg[field] = agg.get(field, 0) + getattr(stats, field)
-    agg["tasks_completed"] = agg.get("tasks_completed", 0) + stats.tasks_completed
-    agg["ready_queue_peak"] = max(agg.get("ready_queue_peak", 0), stats.ready_queue_peak)
-    # Sizing-memo counters live on the context, not SchedulerStats.
-    agg["record_size_memo_hits"] = (
-        agg.get("record_size_memo_hits", 0) + ctx.record_size_memo_hits
-    )
-    agg["record_size_memo_misses"] = (
-        agg.get("record_size_memo_misses", 0) + ctx.record_size_memo_misses
-    )
+    """Add one context's ``SchedulerStats`` and its sizing-memo counters."""
+    _add_counters(agg, dataclasses.asdict(ctx.scheduler.stats))
+    _add_counters(agg, {
+        "record_size_memo_hits": ctx.record_size_memo_hits,
+        "record_size_memo_misses": ctx.record_size_memo_misses,
+    })
+
+
+def _rate(part, rest):
+    total = part + rest
+    return round(part / total, 4) if total else None
 
 
 def _counters_payload(agg):
-    resolves = agg["resolve_cache_hits"] + agg["resolve_cache_misses"]
-    rounds = agg["scheduling_rounds"]
-    memo_hits = agg.get("record_size_memo_hits", 0)
-    memo_misses = agg.get("record_size_memo_misses", 0)
-    memo_total = memo_hits + memo_misses
-    return {
-        "scheduling_rounds": rounds,
-        "resolve_cache_hits": agg["resolve_cache_hits"],
-        "resolve_cache_misses": agg["resolve_cache_misses"],
-        # O(1) evidence: nearly every readiness consult is served from the
-        # cache instead of a fresh lineage walk + worker probes.
-        "resolve_cache_hit_rate": (
-            round(agg["resolve_cache_hits"] / resolves, 4) if resolves else None
-        ),
-        "readiness_invalidations": agg["readiness_invalidations"],
-        "readiness_rebuilds": agg["readiness_rebuilds"],
-        # O(Δ) evidence: the ready list is rebuilt on a small fraction of
-        # rounds; the legacy scheduler rebuilt it on every round.
-        "rebuild_fraction": (
-            round(agg["readiness_rebuilds"] / rounds, 4) if rounds else None
-        ),
-        "ready_queue_peak": agg["ready_queue_peak"],
-        # Fused data plane: narrow chains collapsed into single streamed
-        # passes (both zero under FLINT_FUSION=off, and for workloads whose
-        # narrow stages are all single-operator).
-        "fused_chains": agg.get("fused_chains", 0),
-        "fused_stages": agg.get("fused_stages", 0),
-        # Executor plane: kernels staged on the backend pool vs actually
-        # consumed by dispatched tasks (all zero under the inline plane;
-        # fallbacks mean the chain shape drifted between staging and
-        # dispatch, and the task recomputed inline).
-        "kernels_offloaded": agg.get("kernels_offloaded", 0),
-        "kernels_consumed": agg.get("kernels_consumed", 0),
-        "kernels_fallback": agg.get("kernels_fallback", 0),
-        # Columnar plane: fused chains lowered to vectorised batch kernels
-        # (all zero under FLINT_COLUMNAR=off or FLINT_FUSION=off; fallbacks
-        # count chains whose records or kernels refused lowering and which
-        # re-ran on the row plane).
-        "columnar_chains": agg.get("columnar_chains", 0),
-        "columnar_stages": agg.get("columnar_stages", 0),
-        "columnar_fallbacks": agg.get("columnar_fallbacks", 0),
-        "record_size_memo_hits": memo_hits,
-        "record_size_memo_misses": memo_misses,
-        # Memoised per-RDD sizing: repeat record-size consults are dict
-        # reads, not lineage walks.
-        "record_size_memo_hit_rate": (
-            round(memo_hits / memo_total, 4) if memo_total else None
-        ),
-    }
+    """Every aggregated counter, plus the derived rates that evidence the
+    readiness and sizing machinery."""
+    payload = dict(agg)
+    # O(1) evidence: nearly every readiness consult is served from the
+    # cache instead of a fresh lineage walk + worker probes.
+    payload["resolve_cache_hit_rate"] = _rate(
+        agg.get("resolve_cache_hits", 0), agg.get("resolve_cache_misses", 0)
+    )
+    # O(Δ) evidence: the ready list is rebuilt on a small fraction of
+    # rounds; the legacy scheduler rebuilt it on every round.
+    rounds = agg.get("scheduling_rounds", 0)
+    payload["rebuild_fraction"] = (
+        round(agg.get("readiness_rebuilds", 0) / rounds, 4) if rounds else None
+    )
+    # Memoised per-RDD sizing: repeat record-size consults are dict reads,
+    # not lineage walks.
+    payload["record_size_memo_hit_rate"] = _rate(
+        agg.get("record_size_memo_hits", 0), agg.get("record_size_memo_misses", 0)
+    )
+    return payload
 
 
 def _smoke_one_workload(factory):
@@ -215,17 +177,8 @@ def _smoke_multitenant():
         sims[f"{policy}_interactive_p50"] = pool["p50_response"]
         sims[f"{policy}_interactive_p95"] = pool["p95_response"]
         sims[f"{policy}_batch_response"] = report["pools"]["batch"]["p50_response"]
-        stats = report["scheduler_stats"]
-        for field in _COUNTER_FIELDS:
-            agg[field] = agg.get(field, 0) + stats[field]
-        agg["tasks_completed"] = (
-            agg.get("tasks_completed", 0) + stats["tasks_completed"]
-        )
-        agg["ready_queue_peak"] = max(
-            agg.get("ready_queue_peak", 0), stats["ready_queue_peak"]
-        )
-        for field, value in report["sizing"].items():
-            agg[field] = agg.get(field, 0) + value
+        _add_counters(agg, report["scheduler_stats"])
+        _add_counters(agg, report["sizing"])
     wall = round(time.perf_counter() - wall_start, 3)
     entry["wall_seconds"] = wall
     entry["multitenant"] = {"simulated_seconds": sims}
@@ -260,17 +213,8 @@ def _smoke_saturation():
         tag = f"rate{point.offered_rps:g}"
         sims[f"{tag}_p95"] = point.p95_response
         sims[f"{tag}_throughput"] = point.throughput_rps
-        stats = point.scheduler_stats
-        for field in _COUNTER_FIELDS:
-            agg[field] = agg.get(field, 0) + stats[field]
-        agg["tasks_completed"] = (
-            agg.get("tasks_completed", 0) + stats["tasks_completed"]
-        )
-        agg["ready_queue_peak"] = max(
-            agg.get("ready_queue_peak", 0), stats["ready_queue_peak"]
-        )
-        for field, value in point.sizing.items():
-            agg[field] = agg.get(field, 0) + value
+        _add_counters(agg, point.scheduler_stats)
+        _add_counters(agg, point.sizing)
     wall = round(time.perf_counter() - wall_start, 3)
     entry["wall_seconds"] = wall
     entry["saturation"] = {
@@ -378,11 +322,10 @@ def _smoke_longhorizon():
     wall = round(time.perf_counter() - wall_start, 3)
 
     entry = {}
-    agg: dict = {field: 0 for field in _COUNTER_FIELDS}
-    # One simulated canonical job is the unit of work here; the engine's
-    # scheduler counters stay zero (this plane never builds a task graph).
-    agg["tasks_completed"] = report.jobs
-    agg["ready_queue_peak"] = 0
+    # One simulated canonical job is this entry's unit of work.  The plane
+    # never builds a task graph, so it has no engine counters: the empty
+    # ``agg`` keeps its jobs out of the engine totals.
+    agg: dict = {}
     entry["wall_seconds"] = wall
     entry["longhorizon"] = {
         "num_nodes": config.num_nodes,
@@ -401,8 +344,8 @@ def _smoke_longhorizon():
     entry["simulated_seconds_per_wall_second"] = (
         round(report.simulated_seconds_per_wall_second, 1)
     )
-    entry["tasks_completed"] = agg["tasks_completed"]
-    entry["tasks_per_second"] = round(agg["tasks_completed"] / wall, 1) if wall else None
+    entry["tasks_completed"] = report.jobs
+    entry["tasks_per_second"] = round(report.jobs / wall, 1) if wall else None
     entry["scheduler_counters"] = _counters_payload(agg)
     return entry, agg
 
@@ -411,23 +354,11 @@ def run_smoke(
     out_path: str,
     mode: str = "incremental",
     fusion: str = "on",
-    executor: str = "inline",
-    workers: "int | None" = None,
     columnar: str = "on",
 ) -> dict:
     os.environ["FLINT_SCHEDULER"] = mode
     os.environ["FLINT_FUSION"] = fusion
     os.environ["FLINT_COLUMNAR"] = columnar
-    # Executor plane under test.  The env var is the channel that reaches
-    # every context the scenarios build; resolving here also validates the
-    # name and pins the effective pool size into the report, so the gate can
-    # compare like-with-like (inline baselines never gate a process run).
-    os.environ["FLINT_EXECUTOR"] = executor
-    if workers is not None:
-        os.environ["FLINT_WORKERS"] = str(workers)
-    else:
-        os.environ.pop("FLINT_WORKERS", None)
-    backend = resolve_backend(executor, workers)
     # Measured runs must never pay (or hide behind) tracing overhead: pin the
     # observability layer off and fail loudly if the env says otherwise, so
     # the committed gate always compares untraced engines.
@@ -440,11 +371,6 @@ def run_smoke(
         "scheduler_mode": mode,
         "fusion": fusion,
         "columnar": columnar,
-        "executor": backend.name,
-        "worker_count": backend.worker_count,
-        # Wall timings only mean anything relative to the host's core count:
-        # on a single-core machine the parallel backends pay serialisation
-        # and pool overhead with no concurrent compute to win back.
         "host_cpus": os.cpu_count(),
         "tracing": "disabled",
         "cluster_size": CLUSTER_SIZE,
@@ -453,7 +379,7 @@ def run_smoke(
         "workloads": {},
     }
     total_wall = 0.0
-    total_tasks = 0
+    engine_wall = 0.0
     totals: dict = {}
     smokes = [(name, lambda f=factory: _smoke_one_workload(f))
               for name, factory in BATCH_WORKLOADS.items()]
@@ -465,17 +391,14 @@ def run_smoke(
         entry, agg = smoke()
         report["workloads"][name] = entry
         total_wall += entry["wall_seconds"]
-        total_tasks += entry["tasks_completed"]
-        for field in _COUNTER_FIELDS:
-            totals[field] = totals.get(field, 0) + agg[field]
-        totals["tasks_completed"] = total_tasks
-        totals["ready_queue_peak"] = max(
-            totals.get("ready_queue_peak", 0), agg["ready_queue_peak"]
-        )
+        if agg:  # workloads that ran the engine (not LongHorizon)
+            engine_wall += entry["wall_seconds"]
+            _add_counters(totals, agg)
+    total_tasks = totals.get("tasks_completed", 0)
     report["totals"] = {
         "wall_seconds": round(total_wall, 3),
         "tasks_completed": total_tasks,
-        "tasks_per_second": round(total_tasks / total_wall, 1) if total_wall else None,
+        "tasks_per_second": round(total_tasks / engine_wall, 1) if engine_wall else None,
         "scheduler_counters": _counters_payload(totals),
     }
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -496,8 +419,6 @@ def fusion_comparison(report: dict, unfused_out: str) -> dict:
         unfused_out,
         mode=report["scheduler_mode"],
         fusion="off",
-        executor=report.get("executor", "inline"),
-        workers=report.get("worker_count"),
         columnar=report.get("columnar", "on"),
     )
     comparison = {}
@@ -516,42 +437,6 @@ def fusion_comparison(report: dict, unfused_out: str) -> dict:
                 round(unfused_entry["wall_seconds"] / fused_wall, 3)
                 if fused_wall else None
             ),
-        }
-    return comparison
-
-
-def executor_comparison(report: dict, out_for, workers: "int | None" = None) -> dict:
-    """Re-run the smoke under every other executor backend.
-
-    Simulated runtimes are backend-invariant by contract (the golden
-    equivalence suite pins them bit-for-bit), so the deltas that matter are
-    wall seconds and task throughput per backend.  Interpret them against
-    ``host_cpus``: with a single core the process/async planes pay pickling
-    and pool overhead with no parallel compute to win back; the Figure 8
-    speedups need a multi-core host.  ``out_for(name)`` maps a backend name
-    to the path its full report is written to.
-    """
-    comparison = {}
-    for name in EXECUTOR_BACKENDS:
-        if name == report.get("executor", "inline"):
-            entry = report
-        else:
-            entry = run_smoke(
-                out_for(name),
-                mode=report["scheduler_mode"],
-                fusion=report["fusion"],
-                executor=name,
-                workers=workers,
-                columnar=report.get("columnar", "on"),
-            )
-        comparison[name] = {
-            "worker_count": entry["worker_count"],
-            "wall_seconds": entry["totals"]["wall_seconds"],
-            "tasks_per_second": entry["totals"]["tasks_per_second"],
-            "workload_wall_seconds": {
-                wname: wentry["wall_seconds"]
-                for wname, wentry in entry["workloads"].items()
-            },
         }
     return comparison
 
@@ -725,21 +610,8 @@ def main() -> int:
         help="columnar batch-kernel plane for fused chains (FLINT_COLUMNAR)",
     )
     parser.add_argument(
-        "--executor", default="inline", choices=list(EXECUTOR_BACKENDS),
-        help="executor backend the measured runs use (FLINT_EXECUTOR)",
-    )
-    parser.add_argument(
-        "--executor-workers", type=int, default=None,
-        help="backend pool size (FLINT_WORKERS); default: host cores capped at 4",
-    )
-    parser.add_argument(
         "--compare-fusion", action="store_true",
         help="also run with FLINT_FUSION=off and report wall/throughput deltas",
-    )
-    parser.add_argument(
-        "--compare-executors", action="store_true",
-        help="also run under every other executor backend and record "
-        "per-backend wall seconds in the report",
     )
     parser.add_argument(
         "--compare-columnar", action="store_true",
@@ -749,23 +621,14 @@ def main() -> int:
     args = parser.parse_args()
     if args.compare_fusion and args.fusion != "on":
         parser.error("--compare-fusion requires --fusion on (the fused side)")
-    report = run_smoke(
-        args.out, args.mode, fusion=args.fusion,
-        executor=args.executor, workers=args.executor_workers,
-        columnar=args.columnar,
-    )
+    report = run_smoke(args.out, args.mode, fusion=args.fusion, columnar=args.columnar)
     stem, ext = os.path.splitext(args.out)
     if args.compare_fusion:
         comparison = fusion_comparison(report, stem + ".unfused" + ext)
         report["fusion_comparison"] = comparison
-    if args.compare_executors:
-        report["executor_comparison"] = executor_comparison(
-            report, lambda name: f"{stem}.{name}{ext}",
-            workers=args.executor_workers,
-        )
     if args.compare_columnar:
         report["columnar_comparison"] = columnar_comparison()
-    if args.compare_fusion or args.compare_executors or args.compare_columnar:
+    if args.compare_fusion or args.compare_columnar:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -814,7 +677,7 @@ def main() -> int:
             + f"{entry['tasks_completed']} tasks ({entry['tasks_per_second']}/s), "
             f"resolve hit rate {counters['resolve_cache_hit_rate']}, "
             f"rebuild fraction {counters['rebuild_fraction']}, "
-            f"fused chains {counters['fused_chains']}, "
+            f"fused chains {counters.get('fused_chains', 0)}, "
             f"sizing memo hit rate {counters['record_size_memo_hit_rate']}"
         )
     totals = report["totals"]
@@ -829,12 +692,6 @@ def main() -> int:
             f"({cmp['wall_speedup']}x), throughput "
             f"{cmp['fused_tasks_per_second']}/s vs "
             f"{cmp['unfused_tasks_per_second']}/s"
-        )
-    for name, cmp in report.get("executor_comparison", {}).items():
-        print(
-            f"executor {name} (workers={cmp['worker_count']}, "
-            f"host_cpus={report['host_cpus']}): "
-            f"{cmp['wall_seconds']}s wall, {cmp['tasks_per_second']} tasks/s"
         )
     for name, cmp in report.get("columnar_comparison", {}).items():
         print(

@@ -43,20 +43,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="universe seed")
 
 
-def _add_executor(parser: argparse.ArgumentParser) -> None:
-    """Executor-plane flags for subcommands that run the engine.
-
-    ``--executor`` mirrors ``FLINT_EXECUTOR`` and ``--executor-workers``
-    mirrors ``FLINT_WORKERS`` (distinct from ``--workers``, which sizes the
-    simulated *cluster*).  Precedence: flag > environment > default
-    (``inline``; pool sized to host cores, capped at 4).
-    """
-    from repro.engine.executor import EXECUTOR_BACKENDS
-
-    parser.add_argument("--executor", choices=list(EXECUTOR_BACKENDS), default=None,
-                        help="where task bodies run (default: $FLINT_EXECUTOR or inline)")
-    parser.add_argument("--executor-workers", type=int, default=None,
-                        help="executor pool size (default: $FLINT_WORKERS or host cores)")
+def _add_columnar(parser: argparse.ArgumentParser) -> None:
+    """Data-plane flag for subcommands that run the engine."""
     parser.add_argument("--columnar", choices=["on", "off"], default=None,
                         help="vectorised batch kernels for fused chains "
                              "(default: $FLINT_COLUMNAR or on)")
@@ -115,20 +103,15 @@ def _print_streaming_summary(workload) -> None:
               f"(tau={ssc.policy.tau:.0f}s)")
 
 
-def _apply_executor(args: argparse.Namespace) -> None:
-    """Publish the executor flags to the environment.
+def _apply_columnar(args: argparse.Namespace) -> None:
+    """Publish ``--columnar`` to the environment.
 
     Scenario builders construct their own contexts, so — exactly like
     ``FLINT_TRACE`` — the environment is the channel that reaches every one
-    of them.  Flags override any inherited env value; absent flags leave the
-    environment (and therefore its precedence over defaults) untouched.
+    of them.  An absent flag leaves any inherited ``FLINT_COLUMNAR`` alone.
     """
     import os
 
-    if args.executor is not None:
-        os.environ["FLINT_EXECUTOR"] = args.executor
-    if args.executor_workers is not None:
-        os.environ["FLINT_WORKERS"] = str(args.executor_workers)
     if args.columnar is not None:
         os.environ["FLINT_COLUMNAR"] = args.columnar
 
@@ -179,7 +162,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         TPCHSession,
     )
 
-    _apply_executor(args)
+    _apply_columnar(args)
     provider = standard_provider(seed=args.seed)
     mode = Mode.INTERACTIVE if args.mode == "interactive" else Mode.BATCH
     flint = Flint(
@@ -228,7 +211,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.scenario import run_multitenant
     from repro.server.tenancy import RetryPolicy, TenancyConfig, TenantPolicy
 
-    _apply_executor(args)
+    _apply_columnar(args)
     tenancy = None
     if (args.tenant_quota is not None or args.tenant_rate is not None
             or args.breaker_threshold is not None):
@@ -332,7 +315,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # The scenario builders construct their own contexts; the env var is the
     # channel that reaches every one of them.
     os.environ["FLINT_TRACE"] = "1"
-    _apply_executor(args)
+    _apply_columnar(args)
 
     captured = {}
 
@@ -560,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--hours", type=float, default=2.0)
     _add_streaming(p)
-    _add_executor(p)
+    _add_columnar(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("serve", help="multi-tenant job server scenario + SLO report")
@@ -596,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append query lifecycle JSONL journal at PATH")
     p.add_argument("--result-cache", action="store_true",
                    help="share query results across sessions by lineage key")
-    _add_executor(p)
+    _add_columnar(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("trace", help="run a scenario traced; export a Chrome timeline")
@@ -619,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revoke-at", type=float, default=150.0,
                    help="storm scenario: simulated time of the revocation burst")
     _add_streaming(p)
-    _add_executor(p)
+    _add_columnar(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("advise", help="what-if report: every market + both policies")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -31,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FlintContext:
     """Application context for building and executing RDD programs."""
 
+    #: Task bodies always run inline; only ``perfbench/run.py:effective_planes()`` reads this.
+    executor = SimpleNamespace(name="inline")
+
     def __init__(
         self,
         env: Environment,
@@ -40,8 +44,6 @@ class FlintContext:
         obs: Optional[Observability] = None,
         fusion: Optional[bool] = None,
         columnar: Optional[bool] = None,
-        executor: Optional[str] = None,
-        executor_workers: Optional[int] = None,
     ):
         self.env = env
         self.cluster = cluster
@@ -97,13 +99,6 @@ class FlintContext:
         self._rdds_by_id: Dict[int, "RDD"] = {}
         #: Pool new jobs land in when none is named (see :meth:`job_pool`).
         self.current_job_pool = "default"
-        #: Executor plane backend (``FLINT_EXECUTOR``, default ``inline``):
-        #: where the pure bodies of tasks physically run.  The simulated
-        #: clock, billing, and trace books are backend-invariant; resolved
-        #: before the scheduler so its dispatch loop can consult it.
-        from repro.engine.executor import resolve_backend
-
-        self.executor = resolve_backend(executor, executor_workers)
         # Import here to break the rdd <-> scheduler <-> context cycle.
         from repro.engine.scheduler import TaskScheduler
 
@@ -279,18 +274,6 @@ class FlintContext:
     def metrics_report(self) -> Dict[str, Any]:
         """``FLINT_TRACE=1`` counters/gauges/histograms (empty when off)."""
         return self.obs.metrics.snapshot()
-
-    # ------------------------------------------------------------------
-    def __reduce__(self):
-        """Contexts never cross a process boundary — refuse to pickle.
-
-        Same contract as :meth:`RDD.__reduce__`: an executor-plane closure
-        capturing the context would ship the entire live engine.
-        """
-        raise TypeError(
-            "FlintContext is driver-side state and cannot be pickled; executor "
-            "kernels must capture plain data and pure functions only"
-        )
 
     @property
     def now(self) -> float:

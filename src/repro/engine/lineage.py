@@ -22,10 +22,8 @@ def fusion_edge(node: "RDD", split: int):
     shuffle input, or more than one contributing parent partition (e.g. a
     cogroup with two narrow sides).  Range dependencies (union) contribute
     at most one parent partition each, so a union fuses through whichever
-    side covers ``split``.
-
-    Shared by the scheduler's fused data plane and the executor plane's
-    payload builder, which must walk chains identically.
+    side covers ``split``.  The scheduler's fused data plane walks narrow
+    chains with it.
     """
     edge = None
     for dep in node.dependencies:

@@ -107,9 +107,8 @@ class RDD:
 
         The columnar plane lowers a fused chain to batch kernels only when
         *every* stage provides one; None (the default) keeps the stage — and
-        therefore any chain through it — on the row plane.  A kernel must be
-        picklable (it ships with executor-plane payloads) and must satisfy
-        the bit-identity contract: applied to the columnarised parent
+        therefore any chain through it — on the row plane.  A kernel must
+        satisfy the bit-identity contract: applied to the columnarised parent
         records it produces exactly ``compute_fused``'s records, in order,
         with the same record count (charges replay from batch lengths).  It
         may raise :class:`~repro.engine.columnar.ColumnarUnsupported` when
@@ -590,22 +589,6 @@ class RDD:
     def lookup(self, key: Any) -> List[Any]:
         """All values for ``key`` (pair RDDs)."""
         return [v for k, v in self.collect() if k == key]
-
-    # ------------------------------------------------------------------
-    def __reduce__(self):
-        """RDDs never cross a process boundary — refuse to pickle.
-
-        A task kernel that (transitively) captures an RDD would otherwise
-        drag the whole driver object graph — context, cluster, event queue —
-        into its blob.  Executor-plane closures must capture plain data and
-        pure functions only: use ``fused_kernel()`` / ``merge_kernel()`` /
-        ``source_kernel()``, which extract exactly what the transform needs.
-        """
-        raise TypeError(
-            f"{type(self).__name__} (id={self.rdd_id}) is driver-side state and "
-            "cannot be pickled; ship work through fused_kernel()/merge_kernel()/"
-            "source_kernel() closures instead"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.name}(id={self.rdd_id}, partitions={self.num_partitions})"

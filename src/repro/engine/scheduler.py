@@ -43,7 +43,6 @@ from repro.engine.block_manager import BlockManager, block_id_for
 from repro.engine.checkpoint import CheckpointWriteError
 from repro.engine.columnar import ColumnarUnsupported, from_records
 from repro.engine.dependencies import NarrowDependency, ShuffleDependency
-from repro.engine.executor import TaskKernel, build_task_payload
 from repro.engine.lineage import fusion_edge
 from repro.engine.partitioner import HashPartitioner, stable_hash
 from repro.engine.pools import DEFAULT_POOL, SCHEDULING_POLICIES, Pool
@@ -78,11 +77,6 @@ def _combine_sort_key(kv):
 
 #: Missing-key sentinel for the map-side combine loop.
 _ABSENT = object()
-
-
-# Canonical home is repro.engine.lineage (shared with the executor plane's
-# payload builder, which must walk narrow chains identically).
-_fusion_edge = fusion_edge
 
 
 @dataclass
@@ -120,22 +114,11 @@ class SchedulerStats:
     #: both at zero).
     fused_chains: int = 0
     fused_stages: int = 0
-    #: Executor plane: kernels staged onto a parallel backend, kernels whose
-    #: precomputed records a dispatch actually consumed, and staged kernels
-    #: invalidated at consume time (chain shape drifted between staging and
-    #: dispatch — the task fell back to the inline path).  All zero under
-    #: ``FLINT_EXECUTOR=inline``; excluded from :meth:`task_counts` because
-    #: they describe *where* bodies ran, which backends are free to vary.
-    kernels_offloaded: int = 0
-    kernels_consumed: int = 0
-    kernels_fallback: int = 0
     #: Columnar plane: fused chains lowered to vectorised batch kernels
     #: (and the stages they covered), plus chains that *attempted* the
     #: lowering and fell back to rows (records refused columnarisation, or
     #: a kernel raised ``ColumnarUnsupported`` on the runtime schema).
-    #: Chains/stages are backend-invariant (a consumed executor kernel that
-    #: ran columnar counts too); fallbacks are plane-local diagnostics —
-    #: like the ``kernels_*`` counters they are excluded from
+    #: Fallbacks are plane-local diagnostics, excluded from
     #: :meth:`task_counts`.
     columnar_chains: int = 0
     columnar_stages: int = 0
@@ -167,7 +150,6 @@ class TaskRuntime:
         context: "FlintContext",
         worker: "Worker",
         active_target_id: Optional[int],
-        kernel: Optional[TaskKernel] = None,
     ):
         self.context = context
         self.worker = worker
@@ -181,16 +163,6 @@ class TaskRuntime:
         #: Columnar lowering rides the fused plane only: with fusion off
         #: there are no chains to lower, so the flag is inert by design.
         self._columnar = self._fusion and context.columnar_enabled
-        #: Speculatively precomputed task body from the executor plane, if
-        #: the backend staged one for this task's target.  Consumed at most
-        #: once: the data plane validates it against the chain it is about
-        #: to compute and substitutes the pure records, while every
-        #: state-dependent effect (cache reads, shuffle fetches, charges,
-        #: injection points) still runs inline in the original order.
-        self._kernel = kernel
-        #: Boundary substitutions for an in-progress chain-kernel consume,
-        #: keyed by ``(rdd_id, partition)`` -> ``(replay, records)``.
-        self._seeded: Dict[Tuple[int, int], Tuple[str, Optional[List[Any]]]] = {}
 
     def charge(self, seconds: float) -> None:
         """Add simulated seconds to this task's duration."""
@@ -227,7 +199,7 @@ class TaskRuntime:
         if self._fusion and rdd.supports_fusion:
             data = self._compute_fused(rdd, partition)
         else:
-            data = self._replay_or_compute(rdd, partition)
+            data = rdd.compute(partition, self)
         nbytes = rdd.partition_bytes(len(data))
         self.charge(self.cost.compute_time(len(data) * rdd.record_size, rdd.compute_multiplier))
         if rdd.persisted:
@@ -258,7 +230,7 @@ class TaskRuntime:
         its own record count, size, and multiplier (the caller charges the
         chain head, exactly as it charges any computed node).
         """
-        edge = _fusion_edge(rdd, partition)
+        edge = fusion_edge(rdd, partition)
         if edge is None:
             return rdd.compute(partition, self)
         ctx = self.context
@@ -274,28 +246,11 @@ class TaskRuntime:
             and not ctx.block_exists(node, split)
             and not checkpoints.has_partition(node, split)
         ):
-            edge = _fusion_edge(node, split)
+            edge = fusion_edge(node, split)
             if edge is None:
                 break
             stages.append((node, split))
             node, split = edge
-        kernel = self._kernel
-        if (
-            kernel is not None
-            and kernel.kind == "chain"
-            and kernel.target == (rdd.rdd_id, partition)
-        ):
-            self._kernel = None
-            if kernel.stage_sig == tuple(
-                (s.rdd_id, sp) for s, sp in stages
-            ) and kernel.boundary_id == (node.rdd_id, split):
-                return self._consume_chain(kernel, stages, node, split)
-            # The chain the walk just found is not the chain the kernel ran
-            # (a block/checkpoint appeared or vanished since staging): the
-            # kernel's records are still *data*-correct, but its stage
-            # counts no longer describe the charges this plane owes.  Drop
-            # it and compute inline.
-            ctx.scheduler.stats.kernels_fallback += 1
         if self._columnar:
             data = self._compute_columnar(stages, node, split)
             if data is not None:
@@ -373,119 +328,6 @@ class TaskRuntime:
             stats.fused_chains += 1
             stats.fused_stages += len(stages)
         return batch.to_records()
-
-    def _consume_chain(
-        self,
-        kernel: TaskKernel,
-        stages: List[Tuple["RDD", int]],
-        node: "RDD",
-        split: int,
-    ) -> List[Any]:
-        """Replay a validated chain kernel's charges; substitute its records.
-
-        The boundary resolves through the real :meth:`iterator` — cache-read
-        or checkpoint charges, recursive recomputation, pending puts,
-        memoisation all happen exactly as inline — with only the boundary
-        node's own pure compute substituted (seeded below) when the kernel
-        had to produce it.  Interior stage charges replay from the kernel's
-        recorded record counts in the same deepest-first order; the caller
-        charges the chain head from the returned records, exactly as it
-        charges any computed node.
-        """
-        if kernel.replay != "data":
-            self._seeded[(node.rdd_id, split)] = (kernel.replay, kernel.boundary_records)
-        try:
-            self.iterator(node, split)
-        finally:
-            self._seeded.pop((node.rdd_id, split), None)
-        cost = self.cost
-        charge = self.charge
-        counts = kernel.stage_counts
-        last = len(stages) - 1
-        for i in range(last, 0, -1):
-            inner = stages[i][0]
-            charge(cost.compute_time(
-                counts[last - i] * inner.record_size, inner.compute_multiplier
-            ))
-        stats = self.context.scheduler.stats
-        stats.kernels_consumed += 1
-        if kernel.used_columnar:
-            # The offloaded kernel ran the same columnar lowering the inline
-            # plane would have (same boundary records, same batch kernels),
-            # so the chain/stage counters stay backend-invariant.
-            stats.columnar_chains += 1
-            stats.columnar_stages += len(stages)
-        if len(stages) > 1:
-            stats.fused_chains += 1
-            stats.fused_stages += len(stages)
-        return kernel.records
-
-    def _replay_or_compute(self, rdd: "RDD", partition: int) -> List[Any]:
-        """Non-fusable compute branch with kernel substitution.
-
-        Checks (in order) a boundary seed left by an in-progress chain
-        consume, then this task's own node kernel; either replays the
-        node's state-dependent skeleton and substitutes the precomputed
-        records.  Anything else — no kernel, wrong target, inapplicable
-        replay — computes inline.
-        """
-        seeded = self._seeded.pop((rdd.rdd_id, partition), None)
-        if seeded is not None:
-            data = self._replay_node(rdd, partition, seeded[0], seeded[1])
-            if data is not None:
-                return data
-        kernel = self._kernel
-        if (
-            kernel is not None
-            and kernel.kind == "node"
-            and kernel.target == (rdd.rdd_id, partition)
-        ):
-            self._kernel = None
-            data = self._replay_node(rdd, partition, kernel.replay, kernel.records)
-            stats = self.context.scheduler.stats
-            if data is not None:
-                stats.kernels_consumed += 1
-                return data
-            stats.kernels_fallback += 1
-        return rdd.compute(partition, self)
-
-    def _replay_node(
-        self, rdd: "RDD", partition: int, replay: str, records: Optional[List[Any]]
-    ) -> Optional[List[Any]]:
-        """Re-run one node's state-dependent effects; return the pure records.
-
-        Each skeleton mirrors the node's ``compute`` with the pure merge or
-        transform elided: shuffle fetches go through :meth:`shuffle_fetch`
-        (real transfer charges, injection points, ``ShuffleFetchFailure``
-        propagation), narrow inputs through :meth:`iterator`.  Partition
-        data is a pure function of lineage, so the substituted records are
-        valid whenever the skeleton completes.  Returns None when the
-        replay kind does not apply (caller computes inline).
-        """
-        if records is None:
-            return None
-        if replay == "source":
-            return records
-        if replay == "shuffle":
-            dep = getattr(rdd, "shuffle_dependency", None)
-            if dep is None:
-                return None
-            self.shuffle_fetch(dep, partition)
-            return records
-        if replay == "cogroup":
-            for dep in rdd.dependencies:
-                if isinstance(dep, ShuffleDependency):
-                    self.shuffle_fetch(dep, partition)
-                else:
-                    self.iterator(dep.rdd, partition)
-            return records
-        if replay == "narrow":
-            edge = _fusion_edge(rdd, partition)
-            if edge is None:
-                return None
-            self.iterator(edge[0], edge[1])
-            return records
-        return None
 
     def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[List[Any]]:
         """Gather one reduce bucket from all map outputs, charging transfer time."""
@@ -687,10 +529,6 @@ class TaskScheduler(ClusterListener):
         #: Scheduling pools by name; jobs land in ``default`` unless routed.
         self.pools: Dict[str, Pool] = {DEFAULT_POOL: Pool(DEFAULT_POOL)}
         self.stats = SchedulerStats()
-        #: Executor-plane kernels staged for ready-but-undispatched specs,
-        #: by spec key.  Populated only when the context's executor backend
-        #: is speculative (process/async); always empty under ``inline``.
-        self._kernels: Dict[Tuple, TaskKernel] = {}
         #: Completed-task count per job id, maintained unconditionally (it is
         #: two dict ops per completion) so the tracing invariant can
         #: reconcile emitted task spans against the scheduler's own books.
@@ -1034,9 +872,6 @@ class TaskScheduler(ClusterListener):
         self.stats.scheduling_rounds += 1
         with self.timers.section("schedule_round"):
             ckpt_specs, job_specs = self._ready_specs()
-            if self.context.executor.speculative:
-                with self.timers.section("kernel_prefetch"):
-                    self._prefetch_kernels(job_specs)
             depth = len(ckpt_specs) + sum(len(s) for _j, s in job_specs)
             if depth > self.stats.ready_queue_peak:
                 self.stats.ready_queue_peak = depth
@@ -1060,53 +895,6 @@ class TaskScheduler(ClusterListener):
                 if worker is None:
                     break
                 self._dispatch(spec, worker, job)
-
-    def _prefetch_kernels(self, job_specs: List[Tuple[_JobState, List[TaskSpec]]]) -> None:
-        """Stage this round's ready frontier onto the executor backend.
-
-        Each new ready spec gets its pure body built from side-effect-free
-        peeks of current driver state and executed as one parallel batch;
-        results wait in ``_kernels`` for their dispatch to validate and
-        consume.  Staging is speculative and invisible: it touches no
-        simulated state, no counters the inline plane maintains, and a
-        kernel that cannot be built, shipped, or validated simply leaves
-        its task on the inline path.
-        """
-        ready_keys: Set[Tuple] = set()
-        candidates: List[TaskSpec] = []
-        for _job, specs in job_specs:
-            for spec in specs:
-                key = spec.key
-                if key in ready_keys:
-                    continue
-                ready_keys.add(key)
-                if key not in self.running and key not in self._kernels:
-                    candidates.append(spec)
-        if self._kernels:
-            # A spec that left every frontier (dispatched, satisfied, or its
-            # job retired) will never consume its kernel — drop it.
-            for key in [k for k in self._kernels if k not in ready_keys]:
-                del self._kernels[key]
-        payloads = []
-        for spec in candidates:
-            payload = build_task_payload(self.context, spec)
-            if payload is not None:
-                payloads.append(payload)
-        if not payloads:
-            return
-        staged = 0
-        wall = 0.0
-        for payload, result in zip(payloads, self.context.executor.run_batch(payloads)):
-            if result is None:
-                continue
-            self._kernels[payload.key] = TaskKernel.from_result(payload, result)
-            staged += 1
-            wall += result.wall_seconds
-        self.stats.kernels_offloaded += staged
-        obs = self.context.obs
-        if obs.enabled and staged:
-            obs.metrics.inc("executor.kernels_offloaded", staged)
-            obs.metrics.observe("executor.kernel_wall_seconds", wall)
 
     def _ready_specs(self) -> Tuple[List[TaskSpec], List[Tuple[_JobState, List[TaskSpec]]]]:
         """Pending checkpoint writes plus each job's ready frontier."""
@@ -1520,8 +1308,7 @@ class TaskScheduler(ClusterListener):
             self._ckpt_busy[worker.worker_id] = self._ckpt_busy.get(worker.worker_id, 0) + 1
             self._checkpoint_queue.pop(spec.key, None)
         target_id = job.rdd.rdd_id if job is not None else None
-        kernel = self._kernels.pop(spec.key, None) if self._kernels else None
-        runtime = TaskRuntime(self.context, worker, target_id, kernel=kernel)
+        runtime = TaskRuntime(self.context, worker, target_id)
         result = None
         buckets = None
         try:

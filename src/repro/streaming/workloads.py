@@ -32,7 +32,7 @@ VOCABULARY: Tuple[str, ...] = (
 
 
 # ----------------------------------------------------------------------
-# Module-level kernels: picklable for the process/async executor plane.
+# Module-level kernels shared by the streaming workloads.
 # ----------------------------------------------------------------------
 def _identity(record):
     return record

@@ -3,11 +3,9 @@
 ``FLINT_COLUMNAR`` changes only *how* fused chains execute — arrays of
 columns through vectorised kernels instead of records through Python
 closures.  Everything observable must be bit-identical across columnar
-on/off, fusion on/off, and every executor backend: simulated runtimes,
-action results, task counts, accrued billing, and the fusion books.  The
-columnar runs must also actually lower chains (the equivalence would be
-vacuous otherwise), and the chain/stage counters must be backend-invariant
-so dashboards don't depend on where kernels ran.
+on/off and fusion on/off: simulated runtimes, action results, task counts,
+accrued billing, and the fusion books.  The columnar runs must also
+actually lower chains (the equivalence would be vacuous otherwise).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from repro.simulation.clock import HOUR
 from repro.workloads import KMeansWorkload, PageRankWorkload
 
 _MARKET = "od/r3.large"
-_BACKENDS = ("inline", "process", "async")
 
 # KMeans and PageRank are the workloads with hand-written batch kernels;
 # they must lower every iteration's narrow chains (fallbacks stay 0).
@@ -36,13 +33,10 @@ WORKLOADS = {
 }
 
 
-def _run(monkeypatch, factory, columnar, fusion="on", executor="inline",
-         failures=0, failure_at=None):
+def _run(monkeypatch, factory, columnar, fusion="on", failures=0, failure_at=None):
     """One measured run; returns (observables, stats)."""
     monkeypatch.setenv("FLINT_FUSION", fusion)
     monkeypatch.setenv("FLINT_COLUMNAR", columnar)
-    monkeypatch.setenv("FLINT_EXECUTOR", executor)
-    monkeypatch.setenv("FLINT_WORKERS", "2")
     ctx = build_engine_context(num_workers=6, seed=0)
     assert ctx.columnar_enabled is (columnar == "on")
     manager = FaultToleranceManager(ctx, lambda: 1 * HOUR, min_tau=30.0)
@@ -85,24 +79,6 @@ def test_columnar_plane_bit_identical(monkeypatch, name):
         assert col_stats.columnar_stages >= col_stats.columnar_chains
         # Both workloads' kernels cover every chain they emit.
         assert col_stats.columnar_fallbacks == 0
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_columnar_counters_backend_invariant(monkeypatch, name):
-    """Chains lower identically whether kernels run inline or offloaded."""
-    factory = WORKLOADS[name]
-    runs = {
-        backend: _run(monkeypatch, factory, "on", executor=backend)
-        for backend in _BACKENDS
-    }
-    inline_obs, inline_stats = runs["inline"]
-    assert inline_stats.columnar_chains > 0
-    for backend in ("process", "async"):
-        obs, stats = runs[backend]
-        assert obs == inline_obs, f"{name}/{backend}: observables diverged"
-        assert stats.kernels_consumed > 0
-        assert stats.columnar_chains == inline_stats.columnar_chains
-        assert stats.columnar_stages == inline_stats.columnar_stages
 
 
 def test_columnar_inert_when_fusion_off(monkeypatch):

@@ -105,6 +105,22 @@ def test_histogram_nearest_rank_percentiles():
         hist.percentile(0.0)
 
 
+def test_histogram_percentile_is_exact_off_the_thousandths_grid():
+    """``q`` between thousandths is not truncated: ceil(0.200853 * 100) = 21."""
+    import random
+
+    from repro.server.jobserver import percentile
+
+    hist = Histogram()
+    for v in range(100):
+        hist.observe(float(v))
+    assert hist.percentile(0.200853) == 20.0
+    rng = random.Random(11)
+    for _ in range(200):
+        q = rng.uniform(1e-6, 1.0)
+        assert hist.percentile(q) == percentile(hist.values, q), q
+
+
 def test_env_gating(monkeypatch):
     for off in ("", "0", "false"):
         monkeypatch.setenv("FLINT_TRACE", off)

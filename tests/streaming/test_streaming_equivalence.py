@@ -1,13 +1,12 @@
-"""Golden equivalence: streaming across executor backends and data planes.
+"""Golden equivalence: streaming across data planes.
 
 DStream batches lower to ordinary RDDs, so the engine's bit-identical
-contracts must extend to streams: at identical seeds, every combination of
-``FLINT_EXECUTOR`` (inline/process/async) and ``FLINT_COLUMNAR`` (off/on)
-must reproduce the same per-batch results, simulated time, task books, and
-billing.  The identity workload must also actually lower to columnar
-chains under ``FLINT_COLUMNAR=on`` (the equivalence would be vacuous
-otherwise); wordcount's strings keep it on the row plane, which makes it
-the fallback-equivalence probe.
+contracts must extend to streams: at identical seeds, ``FLINT_COLUMNAR``
+off and on, and ``FLINT_FUSION`` off, must reproduce the same per-batch
+results, simulated time, task books, and billing.  The identity workload
+must also actually lower to columnar chains under ``FLINT_COLUMNAR=on``
+(the equivalence would be vacuous otherwise); wordcount's strings keep it
+on the row plane, which makes it the fallback-equivalence probe.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from repro.streaming import (
     StreamingWindowWorkload,
     StreamingWordCountWorkload,
 )
-
-_BACKENDS = ("inline", "process", "async")
 
 WORKLOADS = {
     "identity": lambda ctx: StreamingIdentityWorkload(
@@ -38,15 +35,12 @@ WORKLOADS = {
 }
 
 
-def _run(monkeypatch, factory, executor, columnar, fusion="on"):
+def _run(monkeypatch, factory, columnar, fusion="on"):
     # Pin the fusion plane too: columnar lowering only exists inside fused
     # chains, and the CI matrix runs this file under FLINT_FUSION=off.
     monkeypatch.setenv("FLINT_FUSION", fusion)
-    monkeypatch.setenv("FLINT_EXECUTOR", executor)
     monkeypatch.setenv("FLINT_COLUMNAR", columnar)
-    monkeypatch.setenv("FLINT_WORKERS", "2")
     ctx = build_engine_context(num_workers=6, seed=0)
-    assert ctx.executor.name == executor
     workload = factory(ctx)
     workload.load()
     result = workload.run()
@@ -62,23 +56,21 @@ def _run(monkeypatch, factory, executor, columnar, fusion="on"):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_streaming_bit_identical_across_planes(monkeypatch, name):
     factory = WORKLOADS[name]
-    baseline, _ = _run(monkeypatch, factory, "inline", "off")
-    for executor in _BACKENDS:
-        for columnar in ("off", "on"):
-            fingerprint, _ = _run(monkeypatch, factory, executor, columnar)
-            assert fingerprint == baseline, (executor, columnar)
+    baseline, _ = _run(monkeypatch, factory, "off")
+    columnar, _ = _run(monkeypatch, factory, "on")
+    assert columnar == baseline
     # The per-RDD recursion plane agrees too.
-    unfused, _ = _run(monkeypatch, factory, "inline", "off", fusion="off")
+    unfused, _ = _run(monkeypatch, factory, "off", fusion="off")
     assert unfused == baseline
 
 
 def test_identity_lowers_to_columnar_chains(monkeypatch):
-    _, stats = _run(monkeypatch, WORKLOADS["identity"], "inline", "on")
+    _, stats = _run(monkeypatch, WORKLOADS["identity"], "on")
     assert stats.columnar_chains > 0
     assert stats.columnar_fallbacks == 0
 
 
 def test_wordcount_stays_on_the_row_plane(monkeypatch):
     # Strings refuse columnarisation; the chain must fall back, not fail.
-    _, stats = _run(monkeypatch, WORKLOADS["wordcount"], "inline", "on")
+    _, stats = _run(monkeypatch, WORKLOADS["wordcount"], "on")
     assert stats.columnar_chains == 0

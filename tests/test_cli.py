@@ -106,55 +106,6 @@ def test_advise_command(capsys):
     assert "savings" in out
 
 
-def test_executor_flags_publish_env(monkeypatch, capsys):
-    """--executor/--executor-workers mirror FLINT_EXECUTOR/FLINT_WORKERS."""
-    import os
-
-    monkeypatch.delenv("FLINT_EXECUTOR", raising=False)
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
-    assert main(_SERVE_SMALL + ["--executor", "process", "--executor-workers", "2"]) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "process"
-    assert os.environ["FLINT_WORKERS"] == "2"
-    capsys.readouterr()
-
-
-def test_executor_flag_wins_over_env(monkeypatch, capsys):
-    """Precedence: flag > environment > default."""
-    import os
-
-    monkeypatch.setenv("FLINT_EXECUTOR", "async")
-    assert main(_SERVE_SMALL + ["--executor", "inline"]) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "inline"
-    capsys.readouterr()
-
-
-def test_executor_env_survives_when_flag_absent(monkeypatch, capsys):
-    import os
-
-    monkeypatch.setenv("FLINT_EXECUTOR", "async")
-    monkeypatch.setenv("FLINT_WORKERS", "2")
-    assert main(_SERVE_SMALL) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "async"
-    assert os.environ["FLINT_WORKERS"] == "2"
-    capsys.readouterr()
-
-
-def test_executor_backend_is_report_invariant(monkeypatch, capsys):
-    """The serve report is bit-identical whichever backend runs the bodies."""
-    monkeypatch.delenv("FLINT_EXECUTOR", raising=False)
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
-    assert main(_SERVE_SMALL + ["--executor", "inline"]) == 0
-    inline_out = capsys.readouterr().out
-    assert main(_SERVE_SMALL + ["--executor", "process", "--executor-workers", "2"]) == 0
-    process_out = capsys.readouterr().out
-    assert inline_out == process_out
-
-
-def test_parser_rejects_unknown_executor():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--executor", "gpu"])
-
-
 def test_columnar_flag_publishes_env(monkeypatch, capsys):
     """--columnar mirrors FLINT_COLUMNAR; flag > environment > default."""
     import os
@@ -232,31 +183,21 @@ def test_trace_streaming_scenario(tmp_path, monkeypatch, capsys):
     assert "span/book reconciliation: OK" in text
 
 
-def test_streaming_executor_flags_publish_env(monkeypatch, capsys):
+def test_streaming_columnar_flag_publishes_env(monkeypatch, capsys):
     """The streaming scenario honours the same flag > env precedence."""
     import os
 
-    monkeypatch.setenv("FLINT_EXECUTOR", "async")
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
     monkeypatch.setenv("FLINT_COLUMNAR", "on")
-    assert main(_STREAM_SMALL + ["--executor", "process",
-                                 "--executor-workers", "2",
-                                 "--columnar", "off"]) == 0
-    assert os.environ["FLINT_EXECUTOR"] == "process"
-    assert os.environ["FLINT_WORKERS"] == "2"
+    assert main(_STREAM_SMALL + ["--columnar", "off"]) == 0
     assert os.environ["FLINT_COLUMNAR"] == "off"
     capsys.readouterr()
 
 
 def test_streaming_report_is_plane_invariant(monkeypatch, capsys):
-    """Same streaming report whichever executor/data plane runs it."""
-    monkeypatch.delenv("FLINT_EXECUTOR", raising=False)
-    monkeypatch.delenv("FLINT_WORKERS", raising=False)
+    """Same streaming report whichever data plane runs it."""
     monkeypatch.delenv("FLINT_COLUMNAR", raising=False)
-    assert main(_STREAM_SMALL + ["--executor", "inline", "--columnar", "off"]) == 0
-    inline_out = capsys.readouterr().out
-    assert main(_STREAM_SMALL + ["--executor", "process",
-                                 "--executor-workers", "2",
-                                 "--columnar", "on"]) == 0
-    process_out = capsys.readouterr().out
-    assert inline_out == process_out
+    assert main(_STREAM_SMALL + ["--columnar", "off"]) == 0
+    row_out = capsys.readouterr().out
+    assert main(_STREAM_SMALL + ["--columnar", "on"]) == 0
+    columnar_out = capsys.readouterr().out
+    assert row_out == columnar_out

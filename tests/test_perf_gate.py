@@ -240,3 +240,56 @@ def test_longhorizon_simulated_cost_drift_fails():
         "behaviour-identical" in f and "longhorizon_total_cost" in f
         for f in failures
     )
+
+
+# -- perf_smoke totals ---------------------------------------------------
+def _tiny_kmeans(ctx):
+    from repro.workloads import KMeansWorkload
+
+    return KMeansWorkload(
+        ctx, data_gb=0.1, num_points=200, k=3, dim=2,
+        partitions=4, iterations=2, seed=1,
+    )
+
+
+def _small_smoke_report(monkeypatch, tmp_path):
+    """``run_smoke`` over one tiny engine workload (standing in for every
+    engine smoke) plus the real, sub-second LongHorizon sweep."""
+    from benchmarks import perf_smoke
+
+    for name, value in (("FLINT_SCHEDULER", "incremental"), ("FLINT_FUSION", "on"),
+                        ("FLINT_COLUMNAR", "on"), ("FLINT_TRACE", "0")):
+        monkeypatch.setenv(name, value)
+    tiny = perf_smoke._smoke_one_workload(_tiny_kmeans)
+    monkeypatch.setattr(perf_smoke, "BATCH_WORKLOADS", {})
+    for smoke in ("_smoke_multitenant", "_smoke_saturation", "_smoke_streaming"):
+        monkeypatch.setattr(perf_smoke, smoke, lambda: tiny)
+    return perf_smoke.run_smoke(str(tmp_path / "bench.json"))
+
+
+def test_smoke_totals_carry_the_sizing_memo_counters(monkeypatch, tmp_path):
+    report = _small_smoke_report(monkeypatch, tmp_path)
+    for field in ("record_size_memo_hits", "record_size_memo_misses"):
+        per_workload = sum(
+            entry["scheduler_counters"].get(field, 0)
+            for entry in report["workloads"].values()
+        )
+        assert per_workload > 0
+        assert report["totals"]["scheduler_counters"][field] == per_workload
+    assert report["totals"]["scheduler_counters"]["ready_queue_peak"] == max(
+        entry["scheduler_counters"].get("ready_queue_peak", 0)
+        for entry in report["workloads"].values()
+    )
+
+
+def test_smoke_totals_leave_out_longhorizon_jobs(monkeypatch, tmp_path):
+    report = _small_smoke_report(monkeypatch, tmp_path)
+    workloads = report["workloads"]
+    assert workloads["LongHorizon"]["tasks_completed"] > 0  # analytic jobs
+    engine = [entry for name, entry in workloads.items() if name != "LongHorizon"]
+    tasks = sum(entry["tasks_completed"] for entry in engine)
+    wall = sum(entry["wall_seconds"] for entry in engine)
+    totals = report["totals"]
+    assert totals["tasks_completed"] == tasks
+    assert totals["scheduler_counters"]["tasks_completed"] == tasks
+    assert totals["tasks_per_second"] == round(tasks / wall, 1)
