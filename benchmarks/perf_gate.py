@@ -32,8 +32,8 @@ Runs the engine perf smoke and compares it against the checked-in
   stale baseline are failures with the re-baseline command in the message,
   never silent skips.
 
-The fresh run replays the committed baseline's configuration — scheduler
-mode, fusion and columnar plane — so the gate always compares like-with-like.
+The fresh run replays the committed baseline's columnar plane, so the gate
+always compares like-with-like.
 
 Usage:
     PYTHONPATH=src python benchmarks/perf_gate.py \
@@ -376,16 +376,8 @@ def main() -> int:
         print(f"Regenerate it with:\n    {_REBASELINE}")
         return 2
     columnar = baseline.get("columnar", "on")
-    print(
-        f"perf gate: baseline config scheduler={baseline.get('scheduler_mode', 'incremental')} "
-        f"fusion={baseline.get('fusion', 'on')} columnar={columnar}"
-    )
-    fresh = run_smoke(
-        args.out,
-        mode=baseline.get("scheduler_mode", "incremental"),
-        fusion=baseline.get("fusion", "on"),
-        columnar=columnar,
-    )
+    print(f"perf gate: baseline config columnar={columnar}")
+    fresh = run_smoke(args.out, columnar=columnar)
     # The columnar microbench rides along on every gate run: it is cheap
     # (a few seconds) and it is the only evidence that the batch kernels
     # still pay for themselves.

@@ -10,7 +10,7 @@ machinery (resolve-cache hit rate, rebuild fraction, invalidation counts).
 
 Usage:
     PYTHONPATH=src python benchmarks/perf_smoke.py [--out BENCH_engine.json]
-        [--columnar on|off] [--compare-fusion] [--compare-columnar]
+        [--columnar on|off] [--compare-columnar]
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _counters_payload(agg):
         agg.get("resolve_cache_hits", 0), agg.get("resolve_cache_misses", 0)
     )
     # O(Δ) evidence: the ready list is rebuilt on a small fraction of
-    # rounds; the legacy scheduler rebuilt it on every round.
+    # rounds; the seed scheduler rebuilt it on every round.
     rounds = agg.get("scheduling_rounds", 0)
     payload["rebuild_fraction"] = (
         round(agg.get("readiness_rebuilds", 0) / rounds, 4) if rounds else None
@@ -350,14 +350,7 @@ def _smoke_longhorizon():
     return entry, agg
 
 
-def run_smoke(
-    out_path: str,
-    mode: str = "incremental",
-    fusion: str = "on",
-    columnar: str = "on",
-) -> dict:
-    os.environ["FLINT_SCHEDULER"] = mode
-    os.environ["FLINT_FUSION"] = fusion
+def run_smoke(out_path: str, columnar: str = "on") -> dict:
     os.environ["FLINT_COLUMNAR"] = columnar
     # Measured runs must never pay (or hide behind) tracing overhead: pin the
     # observability layer off and fail loudly if the env says otherwise, so
@@ -368,8 +361,6 @@ def run_smoke(
     assert not tracing_enabled_by_env(), "perf smoke must run with tracing disabled"
     report = {
         "benchmark": "engine_perf_smoke",
-        "scheduler_mode": mode,
-        "fusion": fusion,
         "columnar": columnar,
         "host_cpus": os.cpu_count(),
         "tracing": "disabled",
@@ -405,40 +396,6 @@ def run_smoke(
         json.dump(report, fh, indent=2)
         fh.write("\n")
     return report
-
-
-def fusion_comparison(report: dict, unfused_out: str) -> dict:
-    """Re-run the smoke with ``FLINT_FUSION=off`` and compare wall/throughput.
-
-    The fused report must already exist; the unfused run lands beside it.
-    Simulated runtimes are identical by construction (fusion only changes
-    how narrow chains are executed, never what they compute or charge), so
-    the interesting deltas are wall seconds and tasks/second.
-    """
-    unfused = run_smoke(
-        unfused_out,
-        mode=report["scheduler_mode"],
-        fusion="off",
-        columnar=report.get("columnar", "on"),
-    )
-    comparison = {}
-    pairs = list(report["workloads"].items()) + [("totals", report["totals"])]
-    for name, fused_entry in pairs:
-        unfused_entry = (
-            unfused["totals"] if name == "totals" else unfused["workloads"][name]
-        )
-        fused_wall = fused_entry["wall_seconds"]
-        comparison[name] = {
-            "fused_wall_seconds": fused_wall,
-            "unfused_wall_seconds": unfused_entry["wall_seconds"],
-            "fused_tasks_per_second": fused_entry["tasks_per_second"],
-            "unfused_tasks_per_second": unfused_entry["tasks_per_second"],
-            "wall_speedup": (
-                round(unfused_entry["wall_seconds"] / fused_wall, 3)
-                if fused_wall else None
-            ),
-        }
-    return comparison
 
 
 def columnar_comparison(passes: int = 6) -> dict:
@@ -602,16 +559,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=os.path.join(_ROOT, "BENCH_engine.json"))
     parser.add_argument(
-        "--mode", default="incremental", choices=["incremental", "legacy"]
-    )
-    parser.add_argument("--fusion", default="on", choices=["on", "off"])
-    parser.add_argument(
         "--columnar", default="on", choices=["on", "off"],
         help="columnar batch-kernel plane for fused chains (FLINT_COLUMNAR)",
-    )
-    parser.add_argument(
-        "--compare-fusion", action="store_true",
-        help="also run with FLINT_FUSION=off and report wall/throughput deltas",
     )
     parser.add_argument(
         "--compare-columnar", action="store_true",
@@ -619,16 +568,9 @@ def main() -> int:
         "batch kernels) and record per-workload speedups in the report",
     )
     args = parser.parse_args()
-    if args.compare_fusion and args.fusion != "on":
-        parser.error("--compare-fusion requires --fusion on (the fused side)")
-    report = run_smoke(args.out, args.mode, fusion=args.fusion, columnar=args.columnar)
-    stem, ext = os.path.splitext(args.out)
-    if args.compare_fusion:
-        comparison = fusion_comparison(report, stem + ".unfused" + ext)
-        report["fusion_comparison"] = comparison
+    report = run_smoke(args.out, columnar=args.columnar)
     if args.compare_columnar:
         report["columnar_comparison"] = columnar_comparison()
-    if args.compare_fusion or args.compare_columnar:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -685,14 +627,6 @@ def main() -> int:
         f"total: {totals['wall_seconds']}s wall, "
         f"{totals['tasks_completed']} tasks ({totals['tasks_per_second']}/s)"
     )
-    for name, cmp in report.get("fusion_comparison", {}).items():
-        print(
-            f"fusion {name}: wall {cmp['fused_wall_seconds']}s fused vs "
-            f"{cmp['unfused_wall_seconds']}s unfused "
-            f"({cmp['wall_speedup']}x), throughput "
-            f"{cmp['fused_tasks_per_second']}/s vs "
-            f"{cmp['unfused_tasks_per_second']}/s"
-        )
     for name, cmp in report.get("columnar_comparison", {}).items():
         print(
             f"columnar {name}: {cmp['row_tasks_per_second']} tasks/s row vs "

@@ -52,7 +52,7 @@ __all__ = [
 
 
 def columnar_enabled_by_env() -> bool:
-    """``FLINT_COLUMNAR`` parsed like ``FLINT_FUSION``: default on."""
+    """``FLINT_COLUMNAR``: default on; ``off``, ``0`` or ``false`` disable it."""
     return os.environ.get("FLINT_COLUMNAR", "on").lower() not in (
         "off", "0", "false",
     )

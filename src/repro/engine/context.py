@@ -34,36 +34,24 @@ class FlintContext:
 
     #: Task bodies always run inline; only ``perfbench/run.py:effective_planes()`` reads this.
     executor = SimpleNamespace(name="inline")
+    #: Narrow chains always run fused; only ``perfbench/run.py:effective_planes()`` reads this.
+    fusion_enabled = True
 
     def __init__(
         self,
         env: Environment,
         cluster: Cluster,
         cost_model: Optional[CostModel] = None,
-        scheduler_mode: Optional[str] = None,
         obs: Optional[Observability] = None,
-        fusion: Optional[bool] = None,
         columnar: Optional[bool] = None,
     ):
         self.env = env
         self.cluster = cluster
         self.cost_model = cost_model or CostModel()
-        #: Fused narrow-chain execution (``FLINT_FUSION``, default on).
-        #: ``off`` routes every task through the seed's per-RDD
-        #: ``compute``/``iterator`` recursion — the golden reference the
-        #: fusion equivalence tests compare against.
-        if fusion is None:
-            fusion = os.environ.get("FLINT_FUSION", "on").lower() not in (
-                "off", "0", "false",
-            )
-        self.fusion_enabled = bool(fusion)
         #: Columnar fused-chain execution (``FLINT_COLUMNAR``, default on).
-        #: Rides the fused plane only: a chain whose stages all carry batch
-        #: kernels and whose boundary records columnarise runs as vectorised
-        #: NumPy passes instead of per-record closures, bit-identical by
-        #: contract.  Inert when fusion is off (there are no chains to
-        #: lower) — the effective switch is ``fusion_enabled and
-        #: columnar_enabled``.
+        #: A fused chain whose stages all carry batch kernels and whose
+        #: boundary records columnarise runs as vectorised NumPy passes
+        #: instead of per-record closures, bit-identical by contract.
         if columnar is None:
             from repro.engine.columnar import columnar_enabled_by_env
 
@@ -102,9 +90,7 @@ class FlintContext:
         # Import here to break the rdd <-> scheduler <-> context cycle.
         from repro.engine.scheduler import TaskScheduler
 
-        if scheduler_mode is None:
-            scheduler_mode = os.environ.get("FLINT_SCHEDULER", "incremental")
-        self.scheduler = TaskScheduler(self, mode=scheduler_mode)
+        self.scheduler = TaskScheduler(self)
         fault_spec = os.environ.get("FLINT_FAULT_PLAN")
         if fault_spec:
             # Deferred import: repro.faults builds on the engine modules.
@@ -238,9 +224,10 @@ class FlintContext:
     def block_exists_scan(self, rdd: "RDD", partition: int) -> bool:
         """Reference worker-scan implementation of :meth:`block_exists`.
 
-        This is the original O(workers) probe.  The legacy scheduler mode
-        resolves readiness through it, and the block-index property tests
-        hold :meth:`block_exists` to exactly its answers.
+        This is the original O(workers) probe.  The reference readiness walk
+        in ``tests/engine/reference_readiness.py`` resolves through it, and
+        the block-index property tests hold :meth:`block_exists` to exactly
+        its answers.
         """
         block_id = block_id_for(rdd.rdd_id, partition)
         return any(

@@ -16,9 +16,8 @@ when a block, shuffle output, or checkpoint actually appears or disappears
 (change listeners on the block-location index, the shuffle manager, and the
 checkpoint registry).  A round with no state change filters a cached ready
 list instead of re-walking the lineage DAG.  The seed's recompute-everything
-resolver is retained as ``mode="legacy"`` and must stay simulation-identical
-— ``tests/engine/test_scheduler_equivalence.py`` holds the two modes to
-bit-equal runtimes and task counts.
+resolver lives on as a test-side oracle (``tests/engine/reference_readiness.py``):
+the readiness fixture holds every round's frontier to it, task key by task key.
 
 The scheduler multiplexes a *set* of in-flight jobs: ``submit_job`` is
 non-blocking and returns a :class:`JobHandle`; ``run_job`` is submit + wait
@@ -27,8 +26,7 @@ gathers every active job's ready frontier and allocates free slots across
 jobs under the root scheduling policy (``fifo`` submission order, or
 ``fair`` weighted max-min across :class:`~repro.engine.pools.Pool`\\ s, with
 interactive pools strictly ahead of batch pools).  A single job under
-either policy dispatches in exactly the seed's order, so single-job runs
-stay bit-identical in both scheduler modes.
+either policy dispatches in exactly the seed's order.
 """
 
 from __future__ import annotations
@@ -95,7 +93,7 @@ class SchedulerStats:
     # (both only occur under injected faults or real mid-dispatch loss).
     fetch_failures: int = 0
     checkpoint_write_failures: int = 0
-    # Incremental-readiness observability: rounds run, how often a cached
+    # Readiness observability: rounds run, how often a cached
     # resolve answered, how many cached decisions events invalidated, how
     # often the ready list had to be rebuilt, and the deepest ready queue.
     scheduling_rounds: int = 0
@@ -110,8 +108,8 @@ class SchedulerStats:
     jobs_failed: int = 0
     concurrent_jobs_peak: int = 0
     #: Fused data plane: narrow chains executed as one streamed pass, and
-    #: the total operator stages they covered (``FLINT_FUSION=off`` leaves
-    #: both at zero).
+    #: the total operator stages they covered (the per-RDD reference plane
+    #: the tests patch in leaves both at zero).
     fused_chains: int = 0
     fused_stages: int = 0
     #: Columnar plane: fused chains lowered to vectorised batch kernels
@@ -125,7 +123,7 @@ class SchedulerStats:
     columnar_fallbacks: int = 0
 
     def task_counts(self) -> Dict[str, int]:
-        """The counters that must agree across scheduler modes."""
+        """The counters that must agree across data planes."""
         return {
             "tasks_completed": self.tasks_completed,
             "tasks_lost": self.tasks_lost,
@@ -159,10 +157,8 @@ class TaskRuntime:
         self.pending_puts: List[PendingPut] = []
         self.computed: List[ComputedPartition] = []
         self._memo: Dict[Tuple[int, int], List[Any]] = {}
-        self._fusion = context.fusion_enabled
-        #: Columnar lowering rides the fused plane only: with fusion off
-        #: there are no chains to lower, so the flag is inert by design.
-        self._columnar = self._fusion and context.columnar_enabled
+        #: Columnar lowering rides the fused plane (``_compute_fused``).
+        self._columnar = context.columnar_enabled
 
     def charge(self, seconds: float) -> None:
         """Add simulated seconds to this task's duration."""
@@ -196,7 +192,7 @@ class TaskRuntime:
             self._memo[key] = data
             return data
 
-        if self._fusion and rdd.supports_fusion:
+        if rdd.supports_fusion:
             data = self._compute_fused(rdd, partition)
         else:
             data = rdd.compute(partition, self)
@@ -493,14 +489,10 @@ class JobHandle:
 class TaskScheduler(ClusterListener):
     """Dispatches tasks onto cluster slots and recovers from revocations."""
 
-    def __init__(
-        self,
-        context: "FlintContext",
-        mode: str = "incremental",
-        scheduling_policy: str = "fifo",
-    ):
-        if mode not in ("incremental", "legacy"):
-            raise ValueError(f"unknown scheduler mode {mode!r}")
+    #: Readiness is always incremental; only ``perfbench/run.py:effective_planes()`` reads this.
+    mode = "incremental"
+
+    def __init__(self, context: "FlintContext", scheduling_policy: str = "fifo"):
         if scheduling_policy not in SCHEDULING_POLICIES:
             raise ValueError(
                 f"unknown scheduling policy {scheduling_policy!r} "
@@ -509,8 +501,6 @@ class TaskScheduler(ClusterListener):
         self.context = context
         self.env = context.env
         self.cluster = context.cluster
-        self.mode = mode
-        self.incremental = mode == "incremental"
         #: Root policy for sharing slots between concurrent jobs.
         self.scheduling_policy = scheduling_policy
         self.busy: Dict[str, int] = {}
@@ -545,7 +535,7 @@ class TaskScheduler(ClusterListener):
         # the outer round loops until no round is pending.
         self._in_round = False
         self._round_pending = False
-        # Incremental readiness state: resolve results cached across rounds,
+        # Readiness state: resolve results cached across rounds,
         # reverse edges for targeted invalidation.  The memoised ordered
         # ready lists live per job (``_JobState.ready_list``; None = must
         # rebuild next round).
@@ -561,10 +551,9 @@ class TaskScheduler(ClusterListener):
         # rdd_id -> RDD for every node the resolver has seen, so
         # invalidation can re-resolve a popped node in place.
         self._rdd_index: Dict[int, "RDD"] = {}
-        if self.incremental:
-            context.block_index.add_listener(self._on_block_event)
-            context.shuffle_manager.add_listener(self._on_shuffle_event)
-            context.checkpoints.add_listener(self._on_checkpoint_event)
+        context.block_index.add_listener(self._on_block_event)
+        context.shuffle_manager.add_listener(self._on_shuffle_event)
+        context.checkpoints.add_listener(self._on_checkpoint_event)
         self.cluster.add_listener(self)
         for worker in self.cluster.live_workers():
             self._register_worker(worker)
@@ -910,8 +899,6 @@ class TaskScheduler(ClusterListener):
         return ckpt_specs, job_specs
 
     def _specs_for_job(self, job: _JobState) -> List[TaskSpec]:
-        if not self.incremental:
-            return self._ready_job_specs_scan(job)
         if job.ready_list is None:
             with self.timers.section("ready_rebuild"):
                 job.ready_list = self._build_ready_list(job)
@@ -991,7 +978,8 @@ class TaskScheduler(ClusterListener):
     def _build_ready_list(self, job: _JobState) -> Dict[Tuple, TaskSpec]:
         """The seed's depth-first frontier walk over incremental resolves.
 
-        Enumeration order is kept bit-identical to the legacy walk: RESULT
+        Enumeration order is kept bit-identical to the seed's walk (the
+        oracle in ``tests/engine/reference_readiness.py``): RESULT
         roots pushed in partition order (popped descending), running specs
         pruned without expansion, ``visited`` dedupe by task key.  Returns
         an insertion-ordered dict so later candidacy transitions pop specs
@@ -1015,8 +1003,8 @@ class TaskScheduler(ClusterListener):
             if spec.kind == TaskKind.SHUFFLE_MAP:
                 # Cached needed lists may be stale supersets (benign shrink
                 # events leave them in place); an already-available map is
-                # one the legacy walk would never have pushed — skipping it
-                # here, without expanding it, restores the exact legacy walk.
+                # one the seed walk would never have pushed — skipping it
+                # here, without expanding it, restores the exact seed walk.
                 if sm.map_output_available(spec.dep.shuffle_id, spec.partition):
                     continue
                 target = spec.dep.rdd
@@ -1040,74 +1028,6 @@ class TaskScheduler(ClusterListener):
             ready = job.ready_list
             if ready is not None:
                 ready.pop(key, None)
-
-    def _ready_job_specs_scan(self, job: _JobState) -> List[TaskSpec]:
-        """Legacy mode: recompute the frontier from scratch (seed behaviour)."""
-        specs: List[TaskSpec] = []
-        cache: Dict[Tuple[int, int], Tuple[bool, List[TaskSpec]]] = {}
-        visited: Set[Tuple] = set()
-        stack: List[TaskSpec] = [
-            s for s in job.root_specs if not job.has_result(s.partition)
-        ]
-        while stack:
-            spec = stack.pop()
-            if spec.key in visited:
-                continue
-            visited.add(spec.key)
-            if spec.key in self.running:
-                continue
-            target = spec.dep.rdd if spec.kind == TaskKind.SHUFFLE_MAP else spec.rdd
-            ready, needed = self._resolve(target, spec.partition, cache)
-            if ready:
-                specs.append(spec)
-            else:
-                stack.extend(needed)
-        return specs
-
-    def _resolve(
-        self,
-        rdd: "RDD",
-        partition: int,
-        cache: Dict[Tuple[int, int], Tuple[bool, List[TaskSpec]]],
-    ) -> Tuple[bool, List[TaskSpec]]:
-        """Can ``(rdd, partition)`` be produced right now?  (Legacy resolver.)
-
-        Returns ``(ready, needed_map_tasks)``: not-ready partitions name the
-        shuffle-map tasks (transitively) blocking them.  The cache lives for
-        one scheduling round, and readiness leaves are answered by the
-        original worker scans / per-map probes — this is the seed resolver,
-        kept as the reference the incremental engine is tested against.
-        """
-        key = (rdd.rdd_id, partition)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        if self.context.block_exists_scan(rdd, partition) or self.context.checkpoints.has_partition(
-            rdd, partition
-        ):
-            result = (True, [])
-            cache[key] = result
-            return result
-        ready = True
-        needed: List[TaskSpec] = []
-        for dep in rdd.dependencies:
-            if isinstance(dep, ShuffleDependency):
-                missing = self.context.shuffle_manager.missing_maps_by_probe(dep)
-                if missing:
-                    ready = False
-                    needed.extend(
-                        TaskSpec(TaskKind.SHUFFLE_MAP, dep.rdd, m, dep=dep) for m in missing
-                    )
-            elif isinstance(dep, NarrowDependency):
-                for parent_partition in dep.parents_of(partition):
-                    sub_ready, sub_needed = self._resolve(dep.rdd, parent_partition, cache)
-                    ready = ready and sub_ready
-                    needed.extend(sub_needed)
-            else:  # pragma: no cover - no other dependency kinds exist
-                raise EngineError(f"unknown dependency type {type(dep).__name__}")
-        result = (ready, needed)
-        cache[key] = result
-        return result
 
     def _map_spec(self, dep: ShuffleDependency, map_id: int) -> TaskSpec:
         sk = (dep.shuffle_id, map_id)
@@ -1137,9 +1057,11 @@ class TaskScheduler(ClusterListener):
         return specs
 
     def _resolve_inc(self, rdd: "RDD", partition: int) -> Tuple[bool, List[TaskSpec]]:
-        """Persistent-cache twin of :meth:`_resolve`.
+        """Can ``(rdd, partition)`` be produced right now?
 
-        Identical decision logic, but answers live across scheduling rounds
+        Returns ``(ready, needed_map_tasks)``: not-ready partitions name the
+        shuffle-map tasks (transitively) blocking them.  The seed resolver's
+        decision logic, but answers live across scheduling rounds
         in ``_resolve_cache``, leaves are O(1) lookups (block-location index,
         shuffle missing-sets), and every consult is recorded as a reverse
         edge so change events invalidate exactly the decisions they affect.

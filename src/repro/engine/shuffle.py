@@ -236,18 +236,6 @@ class ShuffleManager:
             return []
         return sorted(missing)
 
-    def missing_maps_by_probe(self, dep: ShuffleDependency) -> List[int]:
-        """Reference per-map probe implementation of :meth:`missing_maps`.
-
-        The original O(maps) worker-probe loop.  The legacy scheduler mode
-        uses it, and the equivalence tests hold the maintained missing set
-        to exactly its answers.
-        """
-        self.missing_queries += 1
-        return [
-            m for m in range(dep.num_map_partitions) if not self.has_map_output(dep.shuffle_id, m)
-        ]
-
     def is_complete(self, dep: ShuffleDependency) -> bool:
         return not self._ensure_tracked(dep)
 
@@ -419,7 +407,7 @@ class ShuffleManager:
         """Reference O(maps) implementation of :meth:`output_bytes`.
 
         The equivalence tests hold the maintained counter to exactly its
-        answers, mirroring :meth:`missing_maps_by_probe`.
+        answers.
         """
         return sum(s.total_bytes for s in self._outputs.get(dep.shuffle_id, {}).values())
 

@@ -3,8 +3,8 @@
 Generates hundreds of seeded :class:`FaultPlan` specs across two families —
 ``revocation`` (single kills, correlated bursts, delayed/lost warnings,
 false alarms) and ``io`` (checkpoint write failures, mid-fetch map-output
-loss, stragglers) — and runs each against PageRank/ALS/KMeans under both
-scheduler modes via :func:`repro.faults.harness.run_with_plan`.  An opt-in
+loss, stragglers) — and runs each against PageRank/ALS/KMeans via
+:func:`repro.faults.harness.run_with_plan`.  An opt-in
 ``multijob`` family (paired with the ``MultiJob`` workload) repeats the
 revocation/fetch-kill mix while at least two jobs are multiplexed, checking
 the per-job and per-pool scheduler books on every fault.
@@ -12,12 +12,11 @@ the per-job and per-pool scheduler books on every fault.
 Every plan derives deterministically from ``(master_seed, seed)``, so any
 failure replays from one line::
 
-    python -m repro.faults.chaos --replay-seed 57 --workload PageRank \\
-        --mode legacy --family io
+    python -m repro.faults.chaos --replay-seed 57 --workload PageRank --family io
 
 Usage::
 
-    python -m repro.faults.chaos --seeds 10 --workload PageRank --mode incremental
+    python -m repro.faults.chaos --seeds 10 --workload PageRank
     python -m repro.faults.chaos --seeds 5            # full matrix, 5 seeds/cell
 """
 
@@ -29,7 +28,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.engine.context import FlintContext
 from repro.faults.harness import run_reference, run_with_plan
@@ -51,7 +50,6 @@ FAMILIES = ("revocation", "io")
 #: while the journal and the invariant-checked result cache are live
 #: (paired with the ``Tenancy`` workload).
 EXTRA_FAMILIES = ("multijob", "streaming", "tenancy")
-MODES = ("incremental", "legacy")
 
 
 def _pagerank(ctx: FlintContext):
@@ -452,7 +450,6 @@ class ChaosFailure:
     seed: int
     master_seed: int
     workload: str
-    mode: str
     family: str
     spec: str
     violations: List[str]
@@ -463,7 +460,7 @@ class ChaosFailure:
         return (
             "python -m repro.faults.chaos"
             f" --replay-seed {self.seed} --master-seed {self.master_seed}"
-            f" --workload {self.workload} --mode {self.mode} --family {self.family}"
+            f" --workload {self.workload} --family {self.family}"
         )
 
 
@@ -485,68 +482,56 @@ class ChaosReport:
 def run_chaos(
     seeds: Sequence[int],
     workloads: Optional[Sequence[str]] = None,
-    modes: Optional[Sequence[str]] = None,
     families: Optional[Sequence[str]] = None,
     master_seed: int = 0,
     verbose: bool = False,
     trace_dir: Optional[str] = None,
 ) -> ChaosReport:
-    """Sweep ``seeds`` x workloads x modes x families; never raises.
+    """Sweep ``seeds`` x workloads x families; never raises.
 
-    The failure-free reference run is computed once per (workload, mode)
-    cell and shared across every plan in that cell.  With ``trace_dir``
+    The failure-free reference run is computed once per workload and
+    shared across every plan for it.  With ``trace_dir``
     set, every failing plan is deterministically rerun with tracing
     enabled and its Chrome trace + JSONL event log land in that directory.
     """
     workloads = list(workloads or CHAOS_WORKLOADS)
-    modes = list(modes or MODES)
     families = list(families or FAMILIES)
     report = ChaosReport()
-    references: Dict[Tuple[str, str], tuple] = {}
     started = time.perf_counter()
     for workload_name in workloads:
         factory = {**CHAOS_WORKLOADS, **EXTRA_WORKLOADS}[workload_name]
-        for mode in modes:
-            cell = (workload_name, mode)
-            if cell not in references:
-                references[cell] = run_reference(
-                    factory, mode, NUM_WORKERS, checkpointing=True, mttf=MTTF
-                )
-            for family in families:
-                for seed in seeds:
-                    spec = generate_spec(seed, family, master_seed)
-                    try:
-                        run = run_with_plan(
-                            factory,
-                            spec,
-                            mode=mode,
-                            num_workers=NUM_WORKERS,
-                            checkpointing=True,
-                            mttf=MTTF,
-                            reference=references[cell],
-                            raise_on_violation=False,
-                        )
-                        violations = run.violations
-                        report.faults_fired += len(run.faults_fired)
-                        report.checks_run += run.checks_run
-                    except Exception as exc:  # engine crash = chaos failure
-                        violations = [f"unhandled {type(exc).__name__}: {exc}"]
-                    report.plans_run += 1
-                    if violations:
-                        failure = ChaosFailure(
-                            seed, master_seed, workload_name, mode, family, spec,
-                            violations,
-                        )
-                        if trace_dir is not None:
-                            _trace_failure(
-                                factory, failure, references[cell], trace_dir
-                            )
-                        report.failures.append(failure)
-                        _print_failure(failure)
-                    elif verbose:
-                        print(
-                            f"ok seed={seed} {workload_name}/{mode}/{family}: {spec!r}"
-                        )
+        reference = run_reference(
+            factory, NUM_WORKERS, checkpointing=True, mttf=MTTF
+        )
+        for family in families:
+            for seed in seeds:
+                spec = generate_spec(seed, family, master_seed)
+                try:
+                    run = run_with_plan(
+                        factory,
+                        spec,
+                        num_workers=NUM_WORKERS,
+                        checkpointing=True,
+                        mttf=MTTF,
+                        reference=reference,
+                        raise_on_violation=False,
+                    )
+                    violations = run.violations
+                    report.faults_fired += len(run.faults_fired)
+                    report.checks_run += run.checks_run
+                except Exception as exc:  # engine crash = chaos failure
+                    violations = [f"unhandled {type(exc).__name__}: {exc}"]
+                report.plans_run += 1
+                if violations:
+                    failure = ChaosFailure(
+                        seed, master_seed, workload_name, family, spec, violations,
+                    )
+                    if trace_dir is not None:
+                        _trace_failure(factory, failure, reference, trace_dir)
+                    report.failures.append(failure)
+                    _print_failure(failure)
+                elif verbose:
+                    print(f"ok seed={seed} {workload_name}/{family}: {spec!r}")
     report.wall_seconds = round(time.perf_counter() - started, 2)
     return report
 
@@ -563,14 +548,11 @@ def _trace_failure(
     trace shows the same fault sequence that produced the violations.
     """
     os.makedirs(trace_dir, exist_ok=True)
-    stem = (
-        f"{failure.workload}-{failure.mode}-{failure.family}-seed{failure.seed}"
-    )
+    stem = f"{failure.workload}-{failure.family}-seed{failure.seed}"
     try:
         run = run_with_plan(
             factory,
             failure.spec,
-            mode=failure.mode,
             num_workers=NUM_WORKERS,
             checkpointing=True,
             mttf=MTTF,
@@ -591,7 +573,7 @@ def _trace_failure(
 def _print_failure(failure: ChaosFailure) -> None:
     print(
         f"CHAOS FAILURE seed={failure.seed} master_seed={failure.master_seed} "
-        f"workload={failure.workload} mode={failure.mode} family={failure.family}"
+        f"workload={failure.workload} family={failure.family}"
     )
     print(f"  plan: {failure.spec}")
     for violation in failure.violations:
@@ -613,11 +595,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=sorted(CHAOS_WORKLOADS) + sorted(EXTRA_WORKLOADS),
         default=None,
     )
-    parser.add_argument("--mode", choices=MODES, default=None)
     parser.add_argument("--family", choices=FAMILIES + EXTRA_FAMILIES, default=None)
     parser.add_argument(
         "--replay-seed", type=int, default=None,
-        help="re-run exactly one seed (use with --workload/--mode/--family)",
+        help="re-run exactly one seed (use with --workload/--family)",
     )
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument(
@@ -634,7 +615,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = run_chaos(
         seeds,
         workloads=[args.workload] if args.workload else None,
-        modes=[args.mode] if args.mode else None,
         families=[args.family] if args.family else None,
         master_seed=args.master_seed,
         verbose=args.verbose or args.replay_seed is not None,

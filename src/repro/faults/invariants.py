@@ -34,8 +34,8 @@ Invariants:
    completions all agree with the books the scheduler keeps regardless of
    tracing.  Observation must never drift from the thing observed.
 
-Result equivalence with the failure-free run (the sixth invariant) is
-enforced by :mod:`repro.faults.harness`, which owns both runs.
+Result equivalence with the failure-free run, checked beside these eight,
+is enforced by :mod:`repro.faults.harness`, which owns both runs.
 """
 
 from __future__ import annotations

@@ -252,7 +252,6 @@ def run_recovery_benchmark(
     initial_delta: float = 20.0,
     min_tau: float = 30.0,
     max_tau: float = 60.0,
-    mode: str = "incremental",
 ) -> Dict[str, float]:
     """Revoke servers mid-stream; measure how checkpointing bounds recovery.
 
@@ -275,7 +274,7 @@ def run_recovery_benchmark(
         raise ValueError("revoke_after_batch must leave at least one batch after it")
     from repro.faults.harness import _PRICE, build_fault_context
 
-    ctx = build_fault_context(num_workers, seed=0, mode=mode)
+    ctx = build_fault_context(num_workers, seed=0)
     workload = StreamingWordCountWorkload(
         ctx,
         lines_per_batch=lines_per_batch,

@@ -1,6 +1,9 @@
-"""Shared fixtures: small deterministic clusters and providers."""
+"""Shared fixtures: small deterministic clusters and providers, plus the
+test-side reference planes (per-RDD recursion, seed readiness walk)."""
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -77,3 +80,46 @@ def fault_harness():
 def big_ctx():
     """10-worker on-demand context (paper's cluster size)."""
     return build_on_demand_context(num_workers=10)
+
+
+@pytest.fixture
+def unfused(monkeypatch):
+    """Context manager: run tasks on the per-RDD reference plane.
+
+    Inside ``with unfused():`` ``TaskRuntime._compute_fused`` is
+    ``rdd.compute(partition, self)``, so every narrow chain recurses
+    through ``iterator`` one RDD at a time (and no chain lowers to
+    columnar kernels).  The fused and columnar planes must match it
+    bit-for-bit.
+    """
+    from repro.engine.scheduler import TaskRuntime
+
+    @contextlib.contextmanager
+    def reference_plane():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                TaskRuntime, "_compute_fused",
+                lambda self, rdd, partition: rdd.compute(partition, self),
+            )
+            yield
+
+    return reference_plane
+
+
+@pytest.fixture
+def readiness_oracle(monkeypatch):
+    """Hold every scheduling round's ready frontier to the seed resolver.
+
+    Yields the :class:`~tests.engine.reference_readiness.FrontierCheck`;
+    at teardown the test fails if no round ran or any round's frontier
+    differed from ``reference_frontier`` by task key or order.
+    """
+    from tests.engine.reference_readiness import FrontierCheck
+
+    check = FrontierCheck(monkeypatch)
+    yield check
+    assert check.rounds, "the readiness oracle saw no scheduling round"
+    assert not check.mismatches, (
+        f"{len(check.mismatches)} of {check.rounds} rounds diverged from the "
+        f"reference frontier; first (job, got, expected): {check.mismatches[0]}"
+    )

@@ -177,7 +177,6 @@ def _key_batch(batch):
 
 
 def _build_planes(monkeypatch, columnar):
-    monkeypatch.setenv("FLINT_FUSION", "on")
     monkeypatch.setenv("FLINT_COLUMNAR", columnar)
     return build_on_demand_context(4)
 
@@ -219,11 +218,11 @@ def test_columnar_off_never_lowers(monkeypatch):
     assert ctx.scheduler.stats.columnar_stages == 0
 
 
-def test_columnar_requires_fusion(monkeypatch):
-    monkeypatch.setenv("FLINT_FUSION", "off")
+def test_columnar_requires_fusion(monkeypatch, unfused):
     monkeypatch.setenv("FLINT_COLUMNAR", "on")
     ctx = build_on_demand_context(4)
-    result = _chain(ctx).collect()
+    with unfused():
+        result = _chain(ctx).collect()
     assert result == [((x + 1) % 7, x + 1) for x in range(200) if (x + 1) % 2 == 0]
     assert ctx.scheduler.stats.columnar_chains == 0
 

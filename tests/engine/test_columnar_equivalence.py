@@ -3,9 +3,9 @@
 ``FLINT_COLUMNAR`` changes only *how* fused chains execute — arrays of
 columns through vectorised kernels instead of records through Python
 closures.  Everything observable must be bit-identical across columnar
-on/off and fusion on/off: simulated runtimes, action results, task counts,
-accrued billing, and the fusion books.  The columnar runs must also
-actually lower chains (the equivalence would be vacuous otherwise).
+on/off: simulated runtimes, action results, task counts, accrued billing,
+and the fusion books.  The columnar runs must also actually lower chains
+(the equivalence would be vacuous otherwise).
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ WORKLOADS = {
 }
 
 
-def _run(monkeypatch, factory, columnar, fusion="on", failures=0, failure_at=None):
+def _run(monkeypatch, factory, columnar, failures=0, failure_at=None):
     """One measured run; returns (observables, stats)."""
-    monkeypatch.setenv("FLINT_FUSION", fusion)
     monkeypatch.setenv("FLINT_COLUMNAR", columnar)
     ctx = build_engine_context(num_workers=6, seed=0)
     assert ctx.columnar_enabled is (columnar == "on")
@@ -64,7 +63,7 @@ def _run(monkeypatch, factory, columnar, fusion="on", failures=0, failure_at=Non
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_columnar_plane_bit_identical(monkeypatch, name):
-    """Columnar on/off at fusion on: every observable matches exactly."""
+    """Columnar on/off: every observable matches exactly."""
     factory = WORKLOADS[name]
     base, base_stats = _run(monkeypatch, factory, "off")
     for failures in (0, 2):
@@ -81,11 +80,12 @@ def test_columnar_plane_bit_identical(monkeypatch, name):
         assert col_stats.columnar_fallbacks == 0
 
 
-def test_columnar_inert_when_fusion_off(monkeypatch):
-    """Without fusion there are no chains to lower: the knob is inert."""
+def test_columnar_inert_when_fusion_off(monkeypatch, unfused):
+    """On the per-RDD reference plane there are no chains to lower."""
     factory = WORKLOADS["pagerank"]
-    row, row_stats = _run(monkeypatch, factory, "off", fusion="off")
-    col, col_stats = _run(monkeypatch, factory, "on", fusion="off")
+    with unfused():
+        row, row_stats = _run(monkeypatch, factory, "off")
+        col, col_stats = _run(monkeypatch, factory, "on")
     assert col == row
     assert col_stats.columnar_chains == 0
     assert col_stats.columnar_fallbacks == 0

@@ -1,11 +1,11 @@
 """Golden equivalence: fused data plane vs the seed's per-RDD recursion.
 
-``FLINT_FUSION`` collapses narrow ``compute`` chains into single streamed
+The engine collapses narrow ``compute`` chains into single streamed
 passes.  Fusion is a pure data-plane optimisation: at identical seeds it
-must reproduce the unfused engine bit-for-bit — same simulated runtimes,
-same action results, same task counts, same accrued billing — under no
-failures and under concurrent revocations alike, across the batch,
-streaming, and multi-tenant workloads.
+must reproduce the per-RDD recursion (the ``unfused`` fixture's reference
+plane) bit-for-bit — same simulated runtimes, same action results, same
+task counts, same accrued billing — under no failures and under concurrent
+revocations alike, across the batch, streaming, and multi-tenant workloads.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ WORKLOADS = {
 }
 
 
-def _run(monkeypatch, fusion, factory, failures, failure_at):
+def _run(factory, failures, failure_at):
     """One measured run; returns (runtime, result, task_counts, billing, stats)."""
-    monkeypatch.setenv("FLINT_FUSION", fusion)
     ctx = build_engine_context(num_workers=6, seed=0)
-    assert ctx.fusion_enabled == (fusion == "on")
     manager = FaultToleranceManager(ctx, lambda: 1 * HOUR, min_tau=30.0)
     manager.start()
     workload = factory(ctx)
@@ -63,13 +61,15 @@ def _run(monkeypatch, fusion, factory, failures, failure_at):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_planes_bit_identical(monkeypatch, name):
+def test_planes_bit_identical(unfused, name):
     factory = WORKLOADS[name]
-    base_runtime, _, _, _, _ = _run(monkeypatch, "off", factory, 0, None)
+    with unfused():
+        base_runtime, _, _, _, _ = _run(factory, 0, None)
     for failures in (0, 2):
         failure_at = base_runtime * 0.5 if failures else None
-        off = _run(monkeypatch, "off", factory, failures, failure_at)
-        on = _run(monkeypatch, "on", factory, failures, failure_at)
+        with unfused():
+            off = _run(factory, failures, failure_at)
+        on = _run(factory, failures, failure_at)
         for label, a, b in zip(
             ("simulated runtime", "result", "task counts", "billing"), off, on
         ):
@@ -78,11 +78,10 @@ def test_planes_bit_identical(monkeypatch, name):
         assert off[4].fused_chains == 0
 
 
-def test_streaming_bit_identical(monkeypatch):
+def test_streaming_bit_identical(unfused):
     """Micro-batch state folding with persist/unpersist cycling per batch."""
 
-    def run(fusion, failures):
-        monkeypatch.setenv("FLINT_FUSION", fusion)
+    def run(failures):
         ctx = build_engine_context(num_workers=6, seed=0)
         workload = StreamingWorkload(
             ctx, batch_records=1_200, num_keys=50, partitions=8, seed=11
@@ -101,22 +100,24 @@ def test_streaming_bit_identical(monkeypatch):
         return runtime, result, ctx.env.provider.total_cost(ctx.now)
 
     for failures in (0, 1):
-        assert run("off", failures) == run("on", failures)
+        with unfused():
+            reference = run(failures)
+        assert run(failures) == reference
 
 
-def test_multitenant_bit_identical(monkeypatch):
+def test_multitenant_bit_identical(unfused):
     """Job-server multiplexing: fusion engages on the TPC-H narrow chains."""
     from repro.server.scenario import run_multitenant
 
-    def run(fusion):
-        monkeypatch.setenv("FLINT_FUSION", fusion)
+    def run():
         report = run_multitenant(policy="fair", num_workers=4, seed=1234, queries=2)
         stats = report.pop("scheduler_stats")
         report.pop("sizing")
         return report, stats
 
-    off_report, off_stats = run("off")
-    on_report, on_stats = run("on")
+    with unfused():
+        off_report, off_stats = run()
+    on_report, on_stats = run()
     assert off_report == on_report
     # Fusion must actually engage here (multi-operator narrow chains), and
     # must be fully off on the reference plane.
@@ -127,21 +128,3 @@ def test_multitenant_bit_identical(monkeypatch):
     for key in ("tasks_completed", "result_tasks", "map_tasks", "scheduling_rounds"):
         assert off_stats[key] == on_stats[key]
 
-
-def test_env_var_selects_plane(monkeypatch):
-    monkeypatch.setenv("FLINT_FUSION", "off")
-    assert not build_engine_context(num_workers=2).fusion_enabled
-    monkeypatch.delenv("FLINT_FUSION")
-    assert build_engine_context(num_workers=2).fusion_enabled
-    # The constructor parameter wins over the environment.
-    monkeypatch.setenv("FLINT_FUSION", "off")
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.environment import Environment
-    from repro.engine.context import FlintContext
-    from repro.market.market import OnDemandMarket
-    from repro.market.provider import CloudProvider
-
-    provider = CloudProvider([OnDemandMarket(_MARKET, 0.175)])
-    env = Environment(provider, seed=0)
-    ctx = FlintContext(env, Cluster(env), fusion=True)
-    assert ctx.fusion_enabled

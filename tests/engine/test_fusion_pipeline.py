@@ -15,14 +15,24 @@ from tests.conftest import build_on_demand_context
 
 
 @pytest.fixture
-def planes(monkeypatch):
-    """A (fused, unfused) context pair built identically apart from the knob."""
+def planes(unfused):
+    """Run a scenario on the fused plane and on the per-RDD reference.
 
-    def build(fusion):
-        monkeypatch.setenv("FLINT_FUSION", fusion)
-        return build_on_demand_context(4)
+    ``planes(scenario)`` calls ``scenario(ctx)`` on a fresh context per
+    plane, asserts both return the same outcome, and returns the fused
+    run's scheduler stats.
+    """
 
-    return build("on"), build("off")
+    def run(scenario):
+        fused = build_on_demand_context(4)
+        outcome = scenario(fused)
+        reference = build_on_demand_context(4)
+        with unfused():
+            assert scenario(reference) == outcome
+        assert reference.scheduler.stats.fused_chains == 0
+        return fused.scheduler.stats
+
+    return run
 
 
 def _chain(ctx):
@@ -35,22 +45,18 @@ def _chain(ctx):
 
 
 def test_multi_op_chain_fuses_and_matches(planes):
-    on, off = planes
-    results = {}
-    for ctx in (on, off):
+    def scenario(ctx):
         t0 = ctx.now
-        results[ctx] = (_chain(ctx).collect(), ctx.now - t0)
-    assert results[on] == results[off]
+        return _chain(ctx).collect(), ctx.now - t0
+
+    stats = planes(scenario)
     # One fused pass per partition, covering all three chained operators.
-    assert on.scheduler.stats.fused_chains == 4
-    assert on.scheduler.stats.fused_stages == 12
-    assert off.scheduler.stats.fused_chains == 0
+    assert stats.fused_chains == 4
+    assert stats.fused_stages == 12
 
 
 def test_persisted_mid_chain_is_boundary_until_unpersisted(planes):
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
+    def scenario(ctx):
         base = ctx.parallelize(list(range(120)), 4, record_size=100)
         mid = base.map(lambda x: x * 2).map(lambda x: x + 3).persist()
         head = mid.map(lambda x: (x % 5, x)).filter(lambda kv: kv[0] != 1)
@@ -62,9 +68,9 @@ def test_persisted_mid_chain_is_boundary_until_unpersisted(planes):
         mid.unpersist()
         assert ctx.cached_partition_count(mid) == 0
         third = head.collect()
-        outcomes[ctx] = (first, second, third, ctx.now)
-    assert outcomes[on] == outcomes[off]
-    stats = on.scheduler.stats
+        return first, second, third, ctx.now
+
+    stats = planes(scenario)
     chains = stats.fused_chains
     stages = stats.fused_stages
     # While mid is persisted the chain breaks there: run 1 fuses the head's
@@ -76,9 +82,7 @@ def test_persisted_mid_chain_is_boundary_until_unpersisted(planes):
 
 
 def test_checkpointed_parent_is_boundary(planes):
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
+    def scenario(ctx):
         base = ctx.parallelize(list(range(80)), 2, record_size=100)
         mid = base.map(lambda x: x + 10).map(lambda x: x * 3)
         mid.persist().checkpoint()
@@ -89,17 +93,16 @@ def test_checkpointed_parent_is_boundary(planes):
         # not from a re-fused recompute of mid's lineage.
         mid.unpersist()
         head = mid.map(lambda x: x - 1).map(lambda x: (x % 4, x))
-        outcomes[ctx] = (head.collect(), ctx.now)
-    assert outcomes[on] == outcomes[off]
+        return head.collect(), ctx.now
+
+    stats = planes(scenario)
     # The second action fuses only head's two operators; the checkpointed
     # parent resolves through the registry (2 partitions, 2-stage chains).
-    assert on.scheduler.stats.fused_stages == 2 * 2 + 2 * 2
+    assert stats.fused_stages == 2 * 2 + 2 * 2
 
 
 def test_union_chain_fuses_through_range_dependency(planes):
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
+    def scenario(ctx):
         left = ctx.parallelize(list(range(60)), 2, record_size=100).map(
             lambda x: x * 2
         )
@@ -107,25 +110,26 @@ def test_union_chain_fuses_through_range_dependency(planes):
             lambda x: x * 5
         )
         merged = left.union(right).map(lambda x: x + 1).filter(lambda x: x % 3 != 0)
-        outcomes[ctx] = (merged.collect(), ctx.now)
-    assert outcomes[on] == outcomes[off]
+        return merged.collect(), ctx.now
+
+    stats = planes(scenario)
     # Each union output partition covers exactly one parent partition, so
     # the chain fuses across the union into the contributing side:
     # filter -> map -> union -> side map = 4 stages on all 4 partitions.
-    assert on.scheduler.stats.fused_chains == 4
-    assert on.scheduler.stats.fused_stages == 16
+    assert stats.fused_chains == 4
+    assert stats.fused_stages == 16
 
 
 def test_shared_node_is_boundary(planes):
     """A node with two dependants must memoise, not re-stream per consumer."""
-    on, off = planes
-    outcomes = {}
-    for ctx in (on, off):
+
+    def scenario(ctx):
         base = ctx.parallelize(list(range(40)), 2, record_size=100)
         shared = base.map(lambda x: x + 1).map(lambda x: x * 2)
         combined = shared.map(lambda x: x + 100).union(shared.map(lambda x: -x))
-        outcomes[ctx] = (sorted(combined.collect()), ctx.now)
-    assert outcomes[on] == outcomes[off]
+        return sorted(combined.collect()), ctx.now
+
+    planes(scenario)
 
 
 def test_record_size_memo_counters():

@@ -1,11 +1,11 @@
 """Fault injection under the fused data plane.
 
-Runs seeded chaos plans from each fault family with ``FLINT_FUSION`` on
-and off.  Both planes must uphold every engine invariant (the harness
-raises on any violation) and produce byte-identical fault reports: same
-fired faults, same results, same simulated runtimes.  Fusion changes how a
-task computes its records — never what the scheduler, shuffle tracker, or
-recovery machinery observe.
+Runs seeded chaos plans from each fault family on the fused plane and on
+the per-RDD reference plane (the ``unfused`` fixture).  Both planes must
+uphold every engine invariant (the harness raises on any violation) and
+produce byte-identical fault reports: same fired faults, same results,
+same simulated runtimes.  Fusion changes how a task computes its records —
+never what the scheduler, shuffle tracker, or recovery machinery observe.
 """
 
 from __future__ import annotations
@@ -48,24 +48,21 @@ def _report_fingerprint(report):
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fused_plane_is_invariant_clean_and_report_identical(
-    monkeypatch, family, seed
+    unfused, family, seed
 ):
     factory = _FAMILIES[family]
     spec = generate_spec(seed, family)
-    fingerprints = {}
-    for fusion in ("off", "on"):
-        monkeypatch.setenv("FLINT_FUSION", fusion)
-        # raise_on_violation: any invariant 1-8 failure aborts the test with
-        # the violation list attached.
-        report = run_with_plan(factory, spec, seed=seed)
-        assert report.passed
-        fingerprints[fusion] = _report_fingerprint(report)
-    assert fingerprints["on"] == fingerprints["off"]
+    # raise_on_violation: any invariant 1-8 failure aborts the test with
+    # the violation list attached.
+    with unfused():
+        reference = run_with_plan(factory, spec, seed=seed)
+    fused = run_with_plan(factory, spec, seed=seed)
+    assert reference.passed and fused.passed
+    assert _report_fingerprint(fused) == _report_fingerprint(reference)
 
 
-def test_traced_fused_run_reconciles_spans(monkeypatch):
+def test_traced_fused_run_reconciles_spans():
     """Invariant 8 (trace books) under fusion: spans match scheduler books."""
-    monkeypatch.setenv("FLINT_FUSION", "on")
     report = run_with_plan(_pagerank, generate_spec(0, "revocation"), trace=True)
     assert report.passed
     assert report.event_log  # the traced run actually recorded its timeline

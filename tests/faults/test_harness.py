@@ -30,13 +30,6 @@ def test_report_counts_invariant_checks():
     assert report.checks_run >= 2
 
 
-def test_both_scheduler_modes_survive_same_plan():
-    spec = "revoke at=dispatch:15 warn=60; slow at=dispatch:5 factor=3 worker=2"
-    for mode in ("incremental", "legacy"):
-        report = run_with_plan(CHAOS_WORKLOADS["ALS"], spec, mode=mode)
-        assert report.passed, f"mode={mode}: {report.violations}"
-
-
 def test_shared_reference_short_circuits_rerun():
     from repro.faults.harness import run_reference
 
@@ -96,7 +89,7 @@ def test_generate_spec_rejects_unknown_family():
 
 
 def test_chaos_smoke_sweep_passes():
-    report = run_chaos([0, 1], workloads=["PageRank"], modes=["incremental"])
+    report = run_chaos([0, 1], workloads=["PageRank"])
     assert report.plans_run == 4  # 2 seeds x 2 families
     assert report.passed, [f.violations for f in report.failures]
     assert report.checks_run > 0
@@ -110,9 +103,9 @@ def test_chaos_trace_failure_writes_timeline(tmp_path):
     from repro.faults.harness import run_reference
 
     factory = CHAOS_WORKLOADS["KMeans"]
-    reference = run_reference(factory, "incremental", num_workers=6, seed=0)
+    reference = run_reference(factory, num_workers=6, seed=0)
     failure = ChaosFailure(
-        seed=0, master_seed=0, workload="KMeans", mode="incremental",
+        seed=0, master_seed=0, workload="KMeans",
         family="revocation", spec="revoke at=task:10", violations=["boom"],
     )
     _trace_failure(factory, failure, reference, str(tmp_path))
@@ -128,12 +121,11 @@ def test_chaos_failure_replay_command_round_trips():
     from repro.faults.chaos import ChaosFailure
 
     failure = ChaosFailure(
-        seed=57, master_seed=3, workload="ALS", mode="legacy",
+        seed=57, master_seed=3, workload="ALS",
         family="io", spec="revoke at=task:2", violations=["boom"],
     )
     cmd = failure.replay_command()
     assert "--replay-seed 57" in cmd
     assert "--master-seed 3" in cmd
     assert "--workload ALS" in cmd
-    assert "--mode legacy" in cmd
     assert "--family io" in cmd

@@ -2,11 +2,12 @@
 
 DStream batches lower to ordinary RDDs, so the engine's bit-identical
 contracts must extend to streams: at identical seeds, ``FLINT_COLUMNAR``
-off and on, and ``FLINT_FUSION`` off, must reproduce the same per-batch
-results, simulated time, task books, and billing.  The identity workload
-must also actually lower to columnar chains under ``FLINT_COLUMNAR=on``
-(the equivalence would be vacuous otherwise); wordcount's strings keep it
-on the row plane, which makes it the fallback-equivalence probe.
+off and on, and the per-RDD reference plane (the ``unfused`` fixture),
+must reproduce the same per-batch results, simulated time, task books,
+and billing.  The identity workload must also actually lower to columnar
+chains under ``FLINT_COLUMNAR=on`` (the equivalence would be vacuous
+otherwise); wordcount's strings keep it on the row plane, which makes it
+the fallback-equivalence probe.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ WORKLOADS = {
 }
 
 
-def _run(monkeypatch, factory, columnar, fusion="on"):
-    # Pin the fusion plane too: columnar lowering only exists inside fused
-    # chains, and the CI matrix runs this file under FLINT_FUSION=off.
-    monkeypatch.setenv("FLINT_FUSION", fusion)
+def _run(monkeypatch, factory, columnar):
     monkeypatch.setenv("FLINT_COLUMNAR", columnar)
     ctx = build_engine_context(num_workers=6, seed=0)
     workload = factory(ctx)
@@ -54,14 +52,15 @@ def _run(monkeypatch, factory, columnar, fusion="on"):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_streaming_bit_identical_across_planes(monkeypatch, name):
+def test_streaming_bit_identical_across_planes(monkeypatch, unfused, name):
     factory = WORKLOADS[name]
     baseline, _ = _run(monkeypatch, factory, "off")
     columnar, _ = _run(monkeypatch, factory, "on")
     assert columnar == baseline
     # The per-RDD recursion plane agrees too.
-    unfused, _ = _run(monkeypatch, factory, "off", fusion="off")
-    assert unfused == baseline
+    with unfused():
+        reference, _ = _run(monkeypatch, factory, "off")
+    assert reference == baseline
 
 
 def test_identity_lowers_to_columnar_chains(monkeypatch):

@@ -257,8 +257,7 @@ def _small_smoke_report(monkeypatch, tmp_path):
     engine smoke) plus the real, sub-second LongHorizon sweep."""
     from benchmarks import perf_smoke
 
-    for name, value in (("FLINT_SCHEDULER", "incremental"), ("FLINT_FUSION", "on"),
-                        ("FLINT_COLUMNAR", "on"), ("FLINT_TRACE", "0")):
+    for name, value in (("FLINT_COLUMNAR", "on"), ("FLINT_TRACE", "0")):
         monkeypatch.setenv(name, value)
     tiny = perf_smoke._smoke_one_workload(_tiny_kmeans)
     monkeypatch.setattr(perf_smoke, "BATCH_WORKLOADS", {})
