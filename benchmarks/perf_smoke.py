@@ -413,7 +413,12 @@ def columnar_comparison(passes: int = 6) -> dict:
     from repro.engine.scheduler import _combine_sort_key
     from repro.engine.transformations import _ABSENT, _record_hash_key
     from repro.workloads.datagen import generate_clustered_points, initial_centroids
-    from repro.workloads.kmeans import _assign_batch, _closest
+    from repro.workloads.kmeans import (
+        _add_vectors,
+        _assign_batch,
+        _closest,
+        _combine_batch,
+    )
     from repro.workloads.pagerank import (
         _accumulate_batch,
         _contributions_batch,
@@ -422,11 +427,15 @@ def columnar_comparison(passes: int = 6) -> dict:
 
     comparison = {}
 
-    def bench(name, partitions, row_fn, col_fn):
+    def bench(name, partitions, row_fn, col_fn, col_partitions=None):
+        # ``col_partitions``: the columnar side's own form of the same
+        # partitions (default: the row partitions themselves).
+        if col_partitions is None:
+            col_partitions = partitions
         row_fn(partitions[0])  # warm both paths outside the timed region
-        col_fn(partitions[0])
+        col_fn(col_partitions[0])
 
-        def best_pass(fn):
+        def best_pass(fn, parts):
             # Best-of-N passes, one full sweep over the partitions per
             # pass: the minimum excludes GC pauses and allocator noise
             # (the same convention pyperf uses), which would otherwise
@@ -436,14 +445,14 @@ def columnar_comparison(passes: int = 6) -> dict:
             for _ in range(passes):
                 gc.collect()
                 t0 = time.perf_counter()
-                out = [fn(part) for part in partitions]
+                out = [fn(part) for part in parts]
                 wall = time.perf_counter() - t0
                 if best is None or wall < best:
                     best = wall
             return best, out
 
-        row_wall, row_out = best_pass(row_fn)
-        col_wall, col_out = best_pass(col_fn)
+        row_wall, row_out = best_pass(row_fn, partitions)
+        col_wall, col_out = best_pass(col_fn, col_partitions)
         assert row_out == col_out, f"{name}: columnar output diverged from row plane"
         tasks = len(partitions)
         comparison[name] = {
@@ -472,6 +481,29 @@ def columnar_comparison(passes: int = 6) -> dict:
         # MappedRDD.compute_fused's literal loop: one closure call per record.
         lambda part: [km_assign(pt) for pt in part],
         lambda part, cs=centroids: _assign_batch(from_records(part), cs).to_records(),
+    )
+
+    # KMeans map-side combine over the assigned partitions: the engine's
+    # per-record combine loop (``_execute_map``: sentinel get, then
+    # create/merge with the workload's reduce lambda) vs the batch twin
+    # the map task runs on the assignment kernel's batch.
+    km_reduce = lambda a, b: (_add_vectors(a[0], b[0]), a[1] + b[1])  # noqa: E731
+    km_batches = [_assign_batch(from_records(part), centroids) for part in km_parts]
+
+    def km_combine_row(records):
+        combined = {}
+        get = combined.get
+        for key, value in records:
+            prev = get(key, _ABSENT)
+            combined[key] = value if prev is _ABSENT else km_reduce(prev, value)
+        return list(combined.items())
+
+    bench(
+        "KMeans-combine",
+        [batch.to_records() for batch in km_batches],
+        km_combine_row,
+        lambda batch: _combine_batch(batch, dim),
+        col_partitions=km_batches,
     )
 
     # PageRank iteration data plane: contribution fan-out, per-destination

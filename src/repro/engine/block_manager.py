@@ -14,7 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from repro.engine.columnar import ColumnarBatch
+from repro.engine.columnar import ColumnarBatch, from_records
 from repro.storage.local_disk import DiskFullError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,11 +39,17 @@ class BlockStats:
     drops: int = 0
 
 
+#: ``_Block.view`` before the first :meth:`BlockManager.columnar_view`.
+_UNBUILT = object()
+
+
 @dataclass
 class _Block:
     data: Any
     nbytes: int
     spill: bool = False
+    #: Read-only ``ColumnarBatch`` of ``data`` (None: refused), built lazily.
+    view: Any = _UNBUILT
 
 
 class BlockManager:
@@ -177,6 +183,25 @@ class BlockManager:
             )
         self.stats.misses += 1
         return None
+
+    def columnar_view(self, block_id: str, rows: Any) -> Optional[ColumnarBatch]:
+        """Read-only batch of the memory-tier block whose data is ``rows``.
+
+        Built on first use and kept on the block, so a cached partition is
+        columnarised once however many chains read it; it goes with the
+        block (replace, eviction, removal, ``clear``).  None when no
+        memory-tier block of this id holds this very ``rows`` list (spilled,
+        absent or replaced since), or when the rows refuse columnarisation.
+        Touches neither the LRU order nor the hit counters: the caller has
+        already read the block through :meth:`get`.
+        """
+        block = self._memory.get(block_id)
+        if block is None or block.data is not rows:
+            return None
+        if block.view is _UNBUILT:
+            batch = from_records(rows)
+            block.view = None if batch is None else batch.freeze()
+        return block.view
 
     def has(self, block_id: str) -> bool:
         return block_id in self._memory or self.worker.local_disk.has(self._SPILL_PREFIX + block_id)

@@ -6,11 +6,20 @@ instead of streaming records one at a time through Python closures.  The
 representation lives strictly *inside* one fused-chain execution:
 
 - **Plane boundary rule.** Everything observable — block-manager puts,
-  checkpoint payloads, shuffle buckets, memoised partitions, action results
-  — is always *row* form (plain Python lists of records).  A chain converts
-  rows → columns on entry, runs its batch kernels, and converts back on
-  exit.  The block manager enforces this (it refuses ColumnarBatch
-  payloads).
+  checkpoint payloads, shuffle buckets, action results — is always *row*
+  form (plain Python lists of records).  A chain converts rows → columns on
+  entry, runs its batch kernels, and converts back on exit, with one
+  exception: a chain feeding a shuffle map task whose ``reduce_by_key``
+  carries a batch combine (``batch_fn``) hands its last batch straight to
+  that combine, which emits row-form ``(key, combiner)`` items for the
+  unchanged bucketing.  The block manager refuses ColumnarBatch payloads.
+- **Cached views.** A memory-tier cached block keeps a lazily built
+  read-only batch of its rows (``BlockManager.columnar_view``), so a chain
+  that starts at a cached partition converts it once, not on every read.
+  The view dies with its block (replace, eviction, removal, worker loss);
+  spilled blocks and checkpoint reads convert afresh.  Its arrays are not
+  writeable: a kernel that mutates its input in place raises instead of
+  corrupting the cached partition.
 - **Bit-identity rule.** ``to_records(from_records(rows))`` must equal
   ``rows`` exactly — same Python types (``int`` stays ``int``, ``float``
   stays ``float``), same values, same nesting.  ``from_records`` therefore
@@ -48,6 +57,7 @@ __all__ = [
     "ColumnarUnsupported",
     "columnar_enabled_by_env",
     "from_records",
+    "sum_by_key",
 ]
 
 
@@ -206,6 +216,19 @@ class ColumnarBatch:
         """Rows back out — bit-identical to what ``from_records`` consumed."""
         return _emit(self.schema, self.data, self.length)
 
+    def freeze(self) -> "ColumnarBatch":
+        """Mark every column array read-only (in place); returns self."""
+        _freeze(self.data)
+        return self
+
+
+def _freeze(column: Any) -> None:
+    if isinstance(column, np.ndarray):
+        column.flags.writeable = False
+    else:  # a tuple column, or a list column's ``(counts, child)``
+        for child in column:
+            _freeze(child)
+
 
 def from_records(records: Sequence[Any]) -> Optional[ColumnarBatch]:
     """Columnarise a partition, or None when it must stay on the row plane.
@@ -224,3 +247,78 @@ def from_records(records: Sequence[Any]) -> Optional[ColumnarBatch]:
     except _Refuse:
         return None
     return ColumnarBatch(schema, data, len(records))
+
+
+#: A padded block of up to this many cells is always fine; beyond it the
+#: padding may be at most :data:`_MAX_PAD_FACTOR` times the real values.
+_FREE_PAD_CELLS = 1 << 20
+_MAX_PAD_FACTOR = 16
+_INT64_LIMIT = 2**63
+
+
+def sum_by_key(
+    keys: np.ndarray, columns: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Per-key left-to-right sums, keys in first-occurrence order.
+
+    The batch twin of the map-side combine loop for an additive
+    ``reduce_by_key``: for every distinct key, in the order keys first
+    appear, each column's values are added strictly left to right starting
+    from the first value — the float operations of ``create(v) = v`` then
+    ``merge_value(acc, v) = acc + v`` per record.
+
+    Rows are grouped by a stable argsort and laid into an ``(L, keys,
+    width)`` block per dtype (``L`` is the largest group), padded at the end
+    with the additive identity: ``-0.0`` for floats (``x + -0.0`` is ``x``
+    bit for bit, ``-0.0`` included), ``0`` for ints.  ``np.add.accumulate``
+    along axis 0 then adds one row at a time.  ``np.add.reduce``,
+    ``reduceat`` and ``sum`` may add in another order and flip low bits.
+
+    Raises :class:`ColumnarUnsupported` for keys that are not int64,
+    columns that are not 1-D int64/float64 of the keys' length, int sums
+    that could leave int64 (Python ints never overflow), and key skew that
+    would make the padded block much larger than the values.
+    """
+    n = len(keys)
+    if keys.dtype != np.int64 or keys.ndim != 1:
+        raise ColumnarUnsupported(f"keys must be i8, got {keys.dtype}")
+    for col in columns:
+        if col.dtype not in (np.int64, np.float64) or col.shape != (n,):
+            raise ColumnarUnsupported(
+                f"sum column must be i8/f8[{n}], got {col.dtype} {col.shape}"
+            )
+    if n == 0:
+        return keys, list(columns)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    edge = np.empty(n, dtype=bool)
+    edge[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
+    group = np.cumsum(edge) - 1
+    position = np.arange(n) - starts[group]
+    sizes = np.diff(np.append(starts, n))
+    length = int(sizes.max())
+    # The stable sort puts each key's first occurrence at its group start.
+    first_seen = np.argsort(order[starts], kind="stable")
+    padded = length * len(starts)
+    if padded * len(columns) > max(_FREE_PAD_CELLS, _MAX_PAD_FACTOR * n * len(columns)):
+        raise ColumnarUnsupported("keys too skewed to pad into one block")
+    sums: List[Any] = [None] * len(columns)
+    for dtype, identity in ((np.float64, -0.0), (np.int64, 0)):
+        picked = [i for i, col in enumerate(columns) if col.dtype == dtype]
+        if not picked:
+            continue
+        values = np.column_stack([columns[i] for i in picked])
+        if dtype is np.int64:
+            bound = max(abs(int(values.max())), abs(int(values.min())))
+            if bound * length >= _INT64_LIMIT:
+                raise ColumnarUnsupported("int sum may overflow int64")
+        block = np.full((length, len(starts), len(picked)), identity, dtype=dtype)
+        block[position, group] = values[order]
+        # inf - inf and overflow to inf are silent on the row plane too.
+        with np.errstate(invalid="ignore", over="ignore"):
+            totals = np.add.accumulate(block, axis=0)[-1][first_seen]
+        for j, i in enumerate(picked):
+            sums[i] = totals[:, j]
+    return sorted_keys[starts][first_seen], sums

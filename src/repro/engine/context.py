@@ -26,6 +26,7 @@ from repro.obs import Observability
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.worker import Worker
+    from repro.engine.columnar import ColumnarBatch
     from repro.engine.rdd import RDD
 
 
@@ -212,6 +213,19 @@ class FlintContext:
             return None
         data, nbytes, tier = hit
         return data, nbytes, target, tier
+
+    def columnar_view(
+        self, rdd: "RDD", partition: int, rows: List[Any]
+    ) -> Optional["ColumnarBatch"]:
+        """The cached read-only batch of ``rows``, if a memory-tier block of
+        ``(rdd, partition)`` on a live worker holds that very list; else
+        None (see :meth:`BlockManager.columnar_view`)."""
+        block_id = block_id_for(rdd.rdd_id, partition)
+        for worker in self.block_index.holders(block_id):
+            view = worker.block_manager.columnar_view(block_id, rows)
+            if view is not None:
+                return view
+        return None
 
     def block_exists(self, rdd: "RDD", partition: int) -> bool:
         """True when a cached copy of the partition exists on a live worker.

@@ -68,8 +68,12 @@ class ShuffleDependency(Dependency):
         map_side_combine: when an aggregator is present, values are combined
             on the map side before shuffle write (reduceByKey semantics).
         aggregator: (create_combiner, merge_value, merge_combiners) triple, or
-            None for a raw repartition (partitionBy/groupByKey handles
-            grouping reduce-side).
+            None for a raw repartition (partitionBy, or a cogroup side that
+            is not already partitioned).
+        batch_combine: the map-side combine's columnar twin, or None: maps
+            a ``ColumnarBatch`` of one map partition to exactly the
+            ``(key, combiner)`` items the record loop would produce, in
+            first-occurrence key order, or raises ``ColumnarUnsupported``.
     """
 
     def __init__(
@@ -78,11 +82,13 @@ class ShuffleDependency(Dependency):
         partitioner: HashPartitioner,
         aggregator: Optional[Tuple[Callable, Callable, Callable]] = None,
         map_side_combine: bool = False,
+        batch_combine: Optional[Callable] = None,
     ):
         super().__init__(rdd)
         self.partitioner = partitioner
         self.aggregator = aggregator
         self.map_side_combine = map_side_combine and aggregator is not None
+        self.batch_combine = batch_combine if self.map_side_combine else None
         self.shuffle_id = next(_shuffle_ids)
 
     @property

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Dict, Iterator
+
+#: What a disabled :meth:`SectionTimers.section` returns: one shared no-op
+#: context, so the disabled path allocates nothing.
+_DISABLED_SECTION = nullcontext()
 
 
 def profiling_enabled_by_env() -> bool:
@@ -35,12 +39,14 @@ class SectionTimers:
         self._seconds: Dict[str, float] = {}
         self._calls: Dict[str, int] = {}
 
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
+    def section(self, name: str) -> AbstractContextManager:
         """Time one entry of a named section (no-op when disabled)."""
         if not self.enabled:
-            yield
-            return
+            return _DISABLED_SECTION
+        return self._timed(name)
+
+    @contextmanager
+    def _timed(self, name: str) -> Iterator[None]:
         t0 = time.perf_counter()
         try:
             yield

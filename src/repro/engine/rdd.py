@@ -328,21 +328,46 @@ class RDD:
         merge_value: Callable[[Any, Any], Any],
         merge_combiners: Callable[[Any, Any], Any],
         num_partitions: Optional[int] = None,
+        batch_fn: Optional[Callable] = None,
     ) -> "RDD":
-        """The general keyed aggregation primitive (with map-side combine)."""
+        """The general keyed aggregation primitive (with map-side combine).
+
+        ``batch_fn`` is the map-side combine's columnar twin (see
+        :meth:`reduce_by_key`).
+        """
         from repro.engine import transformations as t
 
         partitioner = HashPartitioner(self._default_partitions(num_partitions))
         return t.ShuffledRDD(
-            self, partitioner, (create_combiner, merge_value, merge_combiners), map_side_combine=True
+            self, partitioner, (create_combiner, merge_value, merge_combiners),
+            map_side_combine=True, batch_combine=batch_fn,
         )
 
-    def reduce_by_key(self, fn: Callable[[Any, Any], Any], num_partitions: Optional[int] = None) -> "RDD":
-        """Merge values per key with an associative function."""
-        return self.combine_by_key(lambda v: v, fn, fn, num_partitions)
+    def reduce_by_key(
+        self,
+        fn: Callable[[Any, Any], Any],
+        num_partitions: Optional[int] = None,
+        batch_fn: Optional[Callable] = None,
+    ) -> "RDD":
+        """Merge values per key with an associative function.
+
+        ``batch_fn``, when given, is the map-side combine's columnar twin:
+        it takes the ``ColumnarBatch`` a lowered chain produced for one map
+        partition and returns the ``(key, combined)`` items that folding
+        ``fn`` left to right per key gives, in first-occurrence key order
+        (:func:`~repro.engine.columnar.sum_by_key` does this exactly for
+        additive ``fn``).  It may raise ``ColumnarUnsupported``; the
+        partition then combines on rows.
+        """
+        return self.combine_by_key(lambda v: v, fn, fn, num_partitions, batch_fn)
 
     def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD":
-        """Group values per key into lists (no map-side combine, as in Spark)."""
+        """Group values per key into lists.
+
+        Unlike Spark's groupByKey this combines map-side (through
+        :meth:`combine_by_key`): each map output holds one list per key.
+        The simulated shuffle bytes and makespans depend on that.
+        """
         return self.combine_by_key(
             lambda v: [v],
             lambda acc, v: acc + [v],

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union,
+)
 
 from repro.cluster.cluster import ClusterListener
 from repro.engine.block_index import parse_block_id
 from repro.engine.block_manager import BlockManager, block_id_for
 from repro.engine.checkpoint import CheckpointWriteError
-from repro.engine.columnar import ColumnarUnsupported, from_records
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, from_records
 from repro.engine.dependencies import NarrowDependency, ShuffleDependency
 from repro.engine.lineage import fusion_edge
 from repro.engine.partitioner import HashPartitioner, stable_hash
@@ -113,14 +115,15 @@ class SchedulerStats:
     fused_chains: int = 0
     fused_stages: int = 0
     #: Columnar plane: fused chains lowered to vectorised batch kernels
-    #: (and the stages they covered), plus chains that *attempted* the
-    #: lowering and fell back to rows (records refused columnarisation, or
-    #: a kernel raised ``ColumnarUnsupported`` on the runtime schema).
-    #: Fallbacks are plane-local diagnostics, excluded from
-    #: :meth:`task_counts`.
+    #: (and the stages they covered), map-side combines that ran on a
+    #: chain's batch, plus lowerings that fell back to rows (records
+    #: refused columnarisation, or a kernel or batch combine raised
+    #: ``ColumnarUnsupported`` on the runtime schema).  All are plane-local
+    #: diagnostics, excluded from :meth:`task_counts`.
     columnar_chains: int = 0
     columnar_stages: int = 0
     columnar_fallbacks: int = 0
+    columnar_combines: int = 0
 
     def task_counts(self) -> Dict[str, int]:
         """The counters that must agree across data planes."""
@@ -159,6 +162,9 @@ class TaskRuntime:
         self._memo: Dict[Tuple[int, int], List[Any]] = {}
         #: Columnar lowering rides the fused plane (``_compute_fused``).
         self._columnar = context.columnar_enabled
+        #: The RDD whose lowered chain may return its batch (see
+        #: :meth:`map_input`); every other chain converts back to rows.
+        self._batch_head: Optional["RDD"] = None
 
     def charge(self, seconds: float) -> None:
         """Add simulated seconds to this task's duration."""
@@ -210,7 +216,27 @@ class TaskRuntime:
         self._memo[key] = data
         return data
 
-    def _compute_fused(self, rdd: "RDD", partition: int) -> List[Any]:
+    def map_input(
+        self, dep: ShuffleDependency, partition: int
+    ) -> Union[List[Any], ColumnarBatch]:
+        """A shuffle map task's input: rows, or a batch for its combine.
+
+        When ``dep`` carries a batch combine and nothing else needs
+        ``dep.rdd``'s rows (it is not a materialisation point, so no block
+        put or checkpoint capture), a chain the columnar plane lowers hands
+        over its final batch instead of converting it back to rows.  The
+        batch is charged and memoised like rows; nothing else in the task
+        reads this partition.  Otherwise, or when lowering refuses, this
+        is :meth:`iterator`.
+        """
+        rdd = dep.rdd
+        if dep.batch_combine is not None and not self._is_materialisation_point(rdd):
+            self._batch_head = rdd
+        return self.iterator(rdd, partition)
+
+    def _compute_fused(
+        self, rdd: "RDD", partition: int
+    ) -> Union[List[Any], ColumnarBatch]:
         """Materialise ``(rdd, partition)`` by streaming its narrow chain.
 
         Walks up the lineage collecting operator stages until a pipeline
@@ -269,12 +295,14 @@ class TaskRuntime:
 
     def _compute_columnar(
         self, stages: List[Tuple["RDD", int]], node: "RDD", split: int
-    ) -> Optional[List[Any]]:
+    ) -> Union[List[Any], ColumnarBatch, None]:
         """Lower a walked chain to batch kernels; None means "use rows".
 
         Lowering applies only when every stage carries a batch kernel and
         the boundary records columnarise; a kernel may still refuse the
-        runtime schema (``ColumnarUnsupported``).  Either way the row plane
+        runtime schema (``ColumnarUnsupported``).  A boundary served from a
+        memory-tier block enters through the block's cached view instead of
+        a fresh conversion.  Either way the row plane
         takes over with nothing double-charged: the boundary resolve below
         went through the normal :meth:`iterator` (same charges, memo,
         pending puts as the row path's own resolve), so the fallback's
@@ -294,8 +322,11 @@ class TaskRuntime:
                 return None
             kernels.append(kernel)
         stream = self.iterator(node, split)
-        stats = self.context.scheduler.stats
-        batch = from_records(stream)
+        ctx = self.context
+        stats = ctx.scheduler.stats
+        batch = ctx.columnar_view(node, split, stream)
+        if batch is None:
+            batch = from_records(stream)
         if batch is None:
             # Empty boundaries are trivially row-plane (nothing to
             # vectorise); only real refusals count as fallbacks.
@@ -323,6 +354,8 @@ class TaskRuntime:
         if last >= 1:
             stats.fused_chains += 1
             stats.fused_stages += len(stages)
+        if stages[0][0] is self._batch_head:
+            return batch
         return batch.to_records()
 
     def shuffle_fetch(self, dep: ShuffleDependency, reduce_id: int) -> List[List[Any]]:
@@ -1306,7 +1339,7 @@ class TaskScheduler(ClusterListener):
 
     def _execute_map(self, spec: TaskSpec, runtime: TaskRuntime) -> List[List[Any]]:
         dep = spec.dep
-        records = runtime.iterator(dep.rdd, spec.partition)
+        records = runtime.map_input(dep, spec.partition)
         n_buckets = dep.num_reduce_partitions
         partitioner = dep.partitioner
         # ``num_reduce_partitions`` is the partitioner's own partition
@@ -1315,36 +1348,49 @@ class TaskScheduler(ClusterListener):
         hashed = type(partitioner) is HashPartitioner
         pf = partitioner.partition_for
         if dep.map_side_combine:
-            create, merge_value, _merge_combiners = dep.aggregator
             # Combine into one table, then distribute: the partitioner runs
             # once per distinct key instead of once per record, and tiny
             # buckets skip the sort.  Within a bucket the insertion order
             # (first key occurrence) and merged values are exactly the
             # per-bucket-table walk's, and the stable sort preserves it for
-            # hash ties — the buckets are bit-identical to the seed's.
-            combined: Dict[Any, Any] = {}
-            get = combined.get
-            for key, value in records:
-                prev = get(key, _ABSENT)
-                combined[key] = (
-                    create(value) if prev is _ABSENT else merge_value(prev, value)
-                )
+            # hash ties — the buckets are bit-identical to the seed's.  A
+            # batch input goes through the dependency's batch combine,
+            # which yields the same items in the same order; if it refuses,
+            # the batch's rows take the record loop (one counted fallback).
+            items = None
+            if type(records) is ColumnarBatch:
+                try:
+                    items = dep.batch_combine(records)
+                    self.stats.columnar_combines += 1
+                except ColumnarUnsupported:
+                    self.stats.columnar_fallbacks += 1
+                    records = records.to_records()
+            if items is None:
+                create, merge_value, _merge_combiners = dep.aggregator
+                combined: Dict[Any, Any] = {}
+                get = combined.get
+                for key, value in records:
+                    prev = get(key, _ABSENT)
+                    combined[key] = (
+                        create(value) if prev is _ABSENT else merge_value(prev, value)
+                    )
+                items = combined.items()
             tables: List[List[Any]] = [[] for _ in range(n_buckets)]
             if hashed:
-                for item in combined.items():
+                for item in items:
                     key = item[0]
                     if type(key) is int:
                         tables[(key & 0x7FFFFFFF) % n_buckets].append(item)
                     else:
                         tables[stable_hash(key) % n_buckets].append(item)
             else:
-                for item in combined.items():
+                for item in items:
                     tables[pf(item[0])].append(item)
             buckets = [
                 sorted(t, key=_combine_sort_key) if len(t) > 1 else t
                 for t in tables
             ]
-            out_records = len(combined)
+            out_records = len(items)
         else:
             buckets = [[] for _ in range(n_buckets)]
             if hashed:

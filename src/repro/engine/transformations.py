@@ -406,8 +406,11 @@ class ShuffledRDD(RDD):
         partitioner: HashPartitioner,
         aggregator: Optional[Tuple[Callable, Callable, Callable]] = None,
         map_side_combine: bool = False,
+        batch_combine: Optional[Callable] = None,
     ):
-        dep = ShuffleDependency(parent, partitioner, aggregator, map_side_combine)
+        dep = ShuffleDependency(
+            parent, partitioner, aggregator, map_side_combine, batch_combine
+        )
         super().__init__(
             parent.context, [dep], partitioner.num_partitions, name="shuffle"
         )

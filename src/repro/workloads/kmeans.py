@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarBatch
+from repro.engine.columnar import ColumnarBatch, ColumnarUnsupported, sum_by_key
 from repro.engine.context import FlintContext
 from repro.engine.rdd import RDD
 from repro.workloads.datagen import generate_clustered_points, initial_centroids
@@ -47,35 +47,55 @@ def _add_vectors(a: Tuple[float, ...], b: Tuple[float, ...]) -> Tuple[float, ...
     return tuple(map(operator.add, a, b))
 
 
+def _assigned_schema(dim: int):
+    """Schema of the assignment map's ``(cluster, (point, 1))`` records."""
+    return ("tuple", ("i8", ("tuple", (("tuple", ("f8",) * dim), "i8"))))
+
+
 def _assign_batch(batch: ColumnarBatch, centroids: List[Tuple[float, ...]]) -> ColumnarBatch:
     """Columnar twin of the per-record ``_closest`` assignment map.
 
-    Per element the float-operation order matches ``_closest`` exactly:
-    distances accumulate one dimension at a time (left-to-right from 0.0)
-    and the running minimum uses the same strict ``<`` (ties keep the
-    earlier centroid).  ``_closest``'s early exit never changes its answer
-    (the full sum only grows), so computing full sums here is equivalent.
+    Builds the squared-distance matrix (held as k rows of n) one dimension
+    at a time, so every element accumulates left to right from 0.0
+    exactly as ``_closest`` does (its early exit never changes the answer:
+    the full sum only grows).  ``argmin`` takes the first minimum, which
+    is ``_closest``'s strict ``<`` tie rule, all-``inf`` columns included.
+    A NaN distance is refused: ``_closest`` skips it, ``argmin`` would
+    pick it.
     """
     dim = len(centroids[0])
-    point_schema = ("tuple", ("f8",) * dim)
-    cols = batch.require(point_schema)
+    cols = batch.require(("tuple", ("f8",) * dim))
     n = len(batch)
-    best = np.zeros(n, dtype=np.int64)
-    best_d = np.full(n, np.inf)
-    for i, c in enumerate(centroids):
-        d = np.zeros(n)
+    by_dim = np.array(centroids, dtype=np.float64).T.copy()
+    dist = np.zeros((len(centroids), n))
+    diff = np.empty_like(dist)
+    # Overflow to inf and inf - inf are silent on the row plane too.
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(dim):
-            diff = cols[j] - c[j]
-            d += diff * diff
-        better = d < best_d
-        best[better] = i
-        best_d[better] = d[better]
+            np.subtract(cols[j], by_dim[j][:, None], out=diff)
+            np.multiply(diff, diff, out=diff)
+            dist += diff
+    if np.isnan(dist.min()):  # min propagates NaN
+        raise ColumnarUnsupported("NaN distance")
+    best = dist.argmin(axis=0).astype(np.int64, copy=False)
     counts = np.ones(n, dtype=np.int64)
-    return ColumnarBatch(
-        ("tuple", ("i8", ("tuple", (point_schema, "i8")))),
-        (best, (cols, counts)),
-        n,
-    )
+    return ColumnarBatch(_assigned_schema(dim), (best, (cols, counts)), n)
+
+
+def _combine_batch(
+    batch: ColumnarBatch, dim: int
+) -> List[Tuple[int, Tuple[Tuple[float, ...], int]]]:
+    """Columnar twin of the map-side combine of the assignment records.
+
+    The ``(cluster, (vector sum, count))`` items the record loop builds
+    with ``_add_vectors`` and ``+``, in first-occurrence cluster order:
+    :func:`sum_by_key` adds each cluster's coordinates and counts in the
+    same left-to-right order.
+    """
+    best, (cols, counts) = batch.require(_assigned_schema(dim))
+    keys, sums = sum_by_key(best, (*cols, counts))
+    vectors = zip(*(col.tolist() for col in sums[:dim]))
+    return list(zip(keys.tolist(), zip(vectors, sums[dim].tolist())))
 
 
 class KMeansWorkload:
@@ -148,6 +168,7 @@ class KMeansWorkload:
                 .reduce_by_key(
                     lambda a, b: (_add_vectors(a[0], b[0]), a[1] + b[1]),
                     min(self.partitions, self.k),
+                    batch_fn=lambda batch, dim=self.dim: _combine_batch(batch, dim),
                 )
             )
             totals = stats.collect()

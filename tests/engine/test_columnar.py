@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.columnar import (
     ColumnarBatch,
     ColumnarUnsupported,
     columnar_enabled_by_env,
     from_records,
+    sum_by_key,
 )
 from repro.engine.sizeof import deep_sizeof, estimate_record_size
 from tests.conftest import build_on_demand_context
@@ -158,6 +161,172 @@ def test_block_manager_rejects_columnar_batches():
     with pytest.raises(TypeError, match="to_records"):
         manager.put("rdd_0_0", batch, 24)
     assert manager.get("rdd_0_0") is None
+
+
+# ----------------------------------------------------------------------
+# sum_by_key: the exact batch twin of the additive map-side combine
+# ----------------------------------------------------------------------
+def _row_combine(keys, floats, ints):
+    """The map-side combine loop for ``(a + b, c + d)`` over the rows."""
+    combined = {}
+    for key, value in zip(keys, zip(floats, ints)):
+        prev = combined.get(key)
+        combined[key] = value if prev is None else (prev[0] + value[0], prev[1] + value[1])
+    return list(combined.items())
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), 1e300, -1e300, 1e-300]),
+    st.floats(allow_nan=False, min_value=-1e300, max_value=1e300),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+
+
+@st.composite
+def _keyed_values(draw):
+    # A few heavy keys (up to ~300 values each) beside single-element
+    # keys, interleaved in a drawn order.
+    heavy = draw(st.lists(st.integers(1, 300), min_size=0, max_size=3))
+    singles = draw(st.integers(0, 20))
+    keys = [i for i, count in enumerate(heavy) for _ in range(count)]
+    keys += [100 + j for j in range(singles)]
+    keys = draw(st.permutations(keys)) if keys else [0]
+    floats = draw(st.lists(_FLOATS, min_size=len(keys), max_size=len(keys)))
+    ints = draw(st.lists(
+        st.integers(-(2**40), 2**40), min_size=len(keys), max_size=len(keys)
+    ))
+    return keys, floats, ints
+
+
+@settings(max_examples=150, deadline=None)
+@given(_keyed_values())
+def test_sum_by_key_is_the_row_combine(case):
+    keys, floats, ints = case
+    uniq, (fsum, isum) = sum_by_key(
+        np.array(keys, dtype=np.int64),
+        (np.array(floats, dtype=np.float64), np.array(ints, dtype=np.int64)),
+    )
+    got = list(zip(uniq.tolist(), zip(fsum.tolist(), isum.tolist())))
+    # repr, not ==: -0.0 == 0.0, and the sign bit must survive.
+    assert repr(got) == repr(_row_combine(keys, floats, ints))
+
+
+def test_sum_by_key_keeps_negative_zero_and_first_occurrence_order():
+    keys = np.array([5, 3, 5, 3, 9], dtype=np.int64)
+    vals = np.array([-0.0, -0.0, -0.0, 0.0, -0.0])
+    uniq, (sums,) = sum_by_key(keys, (vals,))
+    assert uniq.tolist() == [5, 3, 9]
+    assert [repr(v) for v in sums.tolist()] == ["-0.0", "0.0", "-0.0"]
+
+
+def test_sum_by_key_refuses_int64_overflow():
+    keys = np.array([1, 1, 2], dtype=np.int64)
+    big = np.array([2**62, 2**62, 1], dtype=np.int64)
+    with pytest.raises(ColumnarUnsupported, match="overflow"):
+        sum_by_key(keys, (big,))
+    low = np.array([-(2**63), 0, 0], dtype=np.int64)
+    with pytest.raises(ColumnarUnsupported, match="overflow"):
+        sum_by_key(keys, (low,))
+    # Within range it sums exactly.
+    _, (ok,) = sum_by_key(keys, (np.array([2**61, 2**61, 7], dtype=np.int64),))
+    assert ok.tolist() == [2**62, 7]
+
+
+def test_sum_by_key_refuses_bad_inputs():
+    with pytest.raises(ColumnarUnsupported):
+        sum_by_key(np.array([1.0, 2.0]), (np.array([1.0, 2.0]),))
+    with pytest.raises(ColumnarUnsupported):
+        sum_by_key(np.array([1, 2], dtype=np.int64), (np.array([1.0]),))
+    with pytest.raises(ColumnarUnsupported):
+        sum_by_key(np.array([1, 2], dtype=np.int64), (np.array([1, 2], dtype=np.int32),))
+    # One key with 2000 values beside 1000 single keys: the padded block
+    # would be ~2M cells for 3000 values, so it refuses before allocating.
+    skewed = np.concatenate([np.zeros(2000, dtype=np.int64), np.arange(1, 1001)])
+    with pytest.raises(ColumnarUnsupported, match="skewed"):
+        sum_by_key(skewed, (np.ones(len(skewed)),))
+
+
+# ----------------------------------------------------------------------
+# Cached views: lazily built per memory-tier block, read-only, and gone
+# with the block
+# ----------------------------------------------------------------------
+def _view_manager(capacity=None):
+    ctx = build_on_demand_context(1)
+    worker = ctx.cluster.live_workers()[0]
+    manager = worker.block_manager
+    if capacity is not None:
+        manager.capacity_bytes = capacity
+    return ctx, worker, manager
+
+
+def test_cached_view_is_built_once_and_read_only():
+    _, _, manager = _view_manager()
+    rows = [(1, 2.0), (3, 4.0)]
+    manager.put("rdd_0_0", rows, 100)
+    view = manager.columnar_view("rdd_0_0", rows)
+    assert view.to_records() == rows
+    assert manager.columnar_view("rdd_0_0", rows) is view
+    keys, vals = view.data
+    with pytest.raises(ValueError):
+        vals += 1.0  # an in-place kernel must not corrupt the cache
+    with pytest.raises(ValueError):
+        keys[0] = 7
+    assert view.to_records() == rows
+    # Only the very list the block holds is served from it.
+    assert manager.columnar_view("rdd_0_0", list(rows)) is None
+
+
+def test_cached_view_refusal_is_remembered_as_none():
+    _, _, manager = _view_manager()
+    rows = ["a", "b"]
+    manager.put("rdd_0_0", rows, 100)
+    assert manager.columnar_view("rdd_0_0", rows) is None
+
+
+def test_cached_view_dies_with_its_block():
+    _, worker, manager = _view_manager(capacity=250)
+    old = [1, 2, 3]
+    manager.put("rdd_0_0", old, 100)
+    assert manager.columnar_view("rdd_0_0", old) is not None
+    # Replaced: the old rows' view is gone, the new rows get their own.
+    new = [4, 5, 6]
+    manager.put("rdd_0_0", new, 100)
+    assert manager.columnar_view("rdd_0_0", old) is None
+    assert manager.columnar_view("rdd_0_0", new).to_records() == new
+    # Evicted (LRU, MEMORY_ONLY): no view of the dropped block.
+    manager.put("rdd_0_1", [7], 100)
+    manager.put("rdd_0_2", [8], 100)
+    assert not manager.has("rdd_0_0")
+    assert manager.columnar_view("rdd_0_0", new) is None
+    # Spilled blocks stay on rows.
+    spilled = [9, 10]
+    manager.put("rdd_1_0", spilled, 100, spill=True)
+    manager.put("rdd_1_1", [11], 100)
+    manager.put("rdd_1_2", [12], 100)
+    assert manager.get("rdd_1_0")[2] == "disk"
+    assert manager.columnar_view("rdd_1_0", spilled) is None
+    # Removed.
+    kept = manager.get("rdd_1_2")[0]
+    assert manager.columnar_view("rdd_1_2", kept) is not None
+    manager.remove("rdd_1_2")
+    assert manager.columnar_view("rdd_1_2", kept) is None
+    # Cleared by a worker kill.
+    last = manager.get("rdd_1_1")[0]
+    assert manager.columnar_view("rdd_1_1", last) is not None
+    worker.kill()
+    assert manager.columnar_view("rdd_1_1", last) is None
+
+
+def test_cached_view_dies_on_unpersist(monkeypatch):
+    monkeypatch.setenv("FLINT_COLUMNAR", "on")
+    ctx = build_on_demand_context(2)
+    base = ctx.parallelize(list(range(40)), 2, record_size=100).persist()
+    base.count()
+    cached = [ctx.find_block(base, p)[0] for p in range(2)]
+    base.map(lambda x: x + 1, batch_fn=_inc_batch).collect()
+    assert all(ctx.columnar_view(base, p, cached[p]) is not None for p in range(2))
+    base.unpersist()
+    assert all(ctx.columnar_view(base, p, cached[p]) is None for p in range(2))
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis.experiments import build_engine_context
 from repro.core.ftmanager import FaultToleranceManager
+from repro.engine.columnar import ColumnarUnsupported
 from repro.simulation.clock import HOUR
 from repro.workloads import KMeansWorkload, PageRankWorkload
 
@@ -78,14 +79,43 @@ def test_columnar_plane_bit_identical(monkeypatch, name):
         assert col_stats.columnar_stages >= col_stats.columnar_chains
         # Both workloads' kernels cover every chain they emit.
         assert col_stats.columnar_fallbacks == 0
+        # KMeans's assignment batch flows on into its map-side combine.
+        assert row_stats.columnar_combines == 0
+        if name == "kmeans":
+            assert col_stats.columnar_combines > 0
 
 
-def test_columnar_inert_when_fusion_off(monkeypatch, unfused):
-    """On the per-RDD reference plane there are no chains to lower."""
-    factory = WORKLOADS["pagerank"]
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_columnar_inert_when_fusion_off(monkeypatch, unfused, name):
+    """On the per-RDD reference plane there are no chains to lower, so no
+    batch reaches a map-side combine either."""
+    factory = WORKLOADS[name]
     with unfused():
         row, row_stats = _run(monkeypatch, factory, "off")
         col, col_stats = _run(monkeypatch, factory, "on")
     assert col == row
     assert col_stats.columnar_chains == 0
     assert col_stats.columnar_fallbacks == 0
+    assert col_stats.columnar_combines == 0
+
+
+def test_batch_combine_refusal_falls_back_once(monkeypatch):
+    """A batch combine that refuses hands its batch's rows to the record
+    loop: one counted fallback per map task, the chain is not lowered a
+    second time, and nothing is charged twice."""
+    import repro.workloads.kmeans as kmeans
+
+    factory = WORKLOADS["kmeans"]
+    row, _ = _run(monkeypatch, factory, "off")
+    col, col_stats = _run(monkeypatch, factory, "on")
+
+    def refuse(batch, dim):
+        raise ColumnarUnsupported("combine refused")
+
+    monkeypatch.setattr(kmeans, "_combine_batch", refuse)
+    refused, refused_stats = _run(monkeypatch, factory, "on")
+    assert refused == col == row
+    assert col_stats.columnar_combines == col_stats.columnar_chains > 0
+    assert refused_stats.columnar_combines == 0
+    assert refused_stats.columnar_chains == col_stats.columnar_chains
+    assert refused_stats.columnar_fallbacks == col_stats.columnar_chains

@@ -1,7 +1,15 @@
-"""KMeans workload: clustering quality and caching behaviour."""
+"""KMeans workload: clustering quality, caching, and its batch kernels."""
 
+import pytest
 
-from repro.workloads.kmeans import KMeansWorkload, _add_vectors, _closest
+from repro.engine.columnar import ColumnarUnsupported, from_records
+from repro.workloads.kmeans import (
+    KMeansWorkload,
+    _add_vectors,
+    _assign_batch,
+    _closest,
+    _combine_batch,
+)
 from tests.conftest import build_on_demand_context
 
 
@@ -15,6 +23,42 @@ def small_kmeans(ctx, iterations=3):
 def test_helpers():
     assert _closest((0.0, 0.0), [(5.0, 5.0), (0.1, 0.1)]) == 1
     assert _add_vectors((1.0, 2.0), (3.0, 4.0)) == (4.0, 6.0)
+
+
+def test_assign_batch_matches_closest_on_ties_and_infinities():
+    inf = float("inf")
+    centroids = [(1.0, 1.0), (-1.0, -1.0), (0.0, 2.0), (1e200, 0.0)]
+    points = [
+        (0.0, 0.0),  # equidistant from centroids 0 and 1: the first wins
+        (0.0, 1.0),  # tie between 0 and 2
+        (1e200, 1e200),  # every squared distance overflows to inf
+        (-inf, 0.0),  # inf distances everywhere but the finite centroid ties
+        (3.0, -0.0),
+    ]
+    batch = _assign_batch(from_records(points), centroids)
+    expected = [(_closest(p, centroids), (p, 1)) for p in points]
+    assert batch.to_records() == expected
+    assert [cluster for cluster, _ in expected][:3] == [0, 0, 0]
+
+
+def test_assign_batch_refuses_nan_distances():
+    # inf - inf is NaN: _closest skips that centroid, argmin would pick it.
+    points = [(float("inf"), 0.0)]
+    with pytest.raises(ColumnarUnsupported):
+        _assign_batch(from_records(points), [(float("inf"), 0.0), (0.0, 0.0)])
+
+
+def test_combine_batch_matches_the_record_loop():
+    centroids = [(0.0, 0.0), (5.0, 5.0), (-5.0, 5.0)]
+    points = [(0.1 * i, 5.0 - 0.3 * i) for i in range(40)] + [(-4.9, 5.1), (-0.0, -0.0)]
+    batch = _assign_batch(from_records(points), centroids)
+    combined = {}
+    for key, value in batch.to_records():
+        prev = combined.get(key)
+        combined[key] = value if prev is None else (
+            _add_vectors(prev[0], value[0]), prev[1] + value[1]
+        )
+    assert repr(_combine_batch(batch, 2)) == repr(list(combined.items()))
 
 
 def test_load_caches_points():
